@@ -1,18 +1,18 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
+.PHONY: all ci fmt-check vet build test perfbench-test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
 # primitives its hot path leans on, and the instrumented (Obs) twins of the
 # delivery and serving benchmarks so the trajectory records observability
 # cost alongside raw cost.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
-BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/serve ./internal/cluster
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkRulingCompute|BenchmarkColorBallTheorem11|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
+BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/core ./internal/serve ./internal/cluster
 
 all: ci
 
-ci: fmt-check vet build test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke fuzz-smoke
+ci: fmt-check vet build test perfbench-test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke fuzz-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +27,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark (perfbench/) is a module of its own, so `go test
+# ./...` above skips it; this runs its vet and tests, including the check
+# that its metric list matches BENCHMARK.json.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The message plane must be bit-identical at any parallelism; run the LOCAL
 # engine suite pinned to a single worker to prove the degenerate case

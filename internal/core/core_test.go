@@ -402,3 +402,32 @@ func TestRunLedgerPhases(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkColorBallTheorem11 times the Lemma 3.2 root-ball step on one
+// giant ball: all of a connected regular:1e5,3 graph with tight 3-color
+// lists, the single ball sparse-regular's extension recolors per job.
+func BenchmarkColorBallTheorem11(b *testing.B) {
+	g, err := gen.RandomRegular(100_000, 3, rand.New(rand.NewPCG(11, 3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	alive := make([]bool, g.N())
+	for v := range alive {
+		alive[v] = true
+	}
+	ball := g.Ball(0, -1, nil)
+	if len(ball) != g.N() {
+		b.Skipf("graph not connected: ball of %d of %d vertices", len(ball), g.N())
+	}
+	lists := seqcolor.UniformLists(g.N(), 3)
+	colors := make([]int, g.N())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range colors {
+			colors[v] = Uncolored
+		}
+		if err := colorBallTheorem11(g, alive, colors, lists, ball); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -72,8 +72,21 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 	// (Observation 5.1). The tree is bucketized by (depth, class) up front —
 	// preserving its vertex order inside each bucket, so the greedy visits
 	// vertices in exactly the order the nested rescan did — instead of
-	// rescanning all of T once per (depth, class) pair.
+	// rescanning all of T once per (depth, class) pair. A counting pass
+	// first sizes each bucket as its own slice of one backing array.
 	buckets := make([][]int, (forest.MaxDepth+1)*(maxClass+1))
+	size := make([]int, len(buckets))
+	for _, v := range tree {
+		if d := forest.Depth[v]; d >= 1 {
+			size[d*(maxClass+1)+classes[v]]++
+		}
+	}
+	backing := make([]int, len(tree))
+	off := 0
+	for slot, k := range size {
+		buckets[slot] = backing[off : off : off+k]
+		off += k
+	}
 	for _, v := range tree {
 		if d := forest.Depth[v]; d >= 1 {
 			slot := d*(maxClass+1) + classes[v]
@@ -197,6 +210,13 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 	if err != nil {
 		return err
 	}
+	// Every filtered list is a slice of one backing array sized for the
+	// unfiltered lists.
+	total := 0
+	for _, u := range orig {
+		total += len(lists[u])
+	}
+	backing := make([]int, 0, total)
 	subLists := make([][]int, sub.N())
 	inBall := graph.AcquireBitset(g.N())
 	for _, u := range ball {
@@ -204,7 +224,7 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 	}
 	used := graph.AcquireBitset(0)
 	for i, u := range orig {
-		list := make([]int, 0, len(lists[u]))
+		start := len(backing)
 		if width := listWidth(lists[u]); width >= 0 {
 			// Mark the colors of alive outside-ball neighbors once, then
 			// filter the list in its own order (exact first-fit semantics).
@@ -220,7 +240,7 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 			}
 			for _, c := range lists[u] {
 				if !used.Test(c) {
-					list = append(list, c)
+					backing = append(backing, c)
 				}
 			}
 		} else {
@@ -234,11 +254,11 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 					}
 				}
 				if !blocked {
-					list = append(list, c)
+					backing = append(backing, c)
 				}
 			}
 		}
-		subLists[i] = list
+		subLists[i] = backing[start:len(backing):len(backing)]
 	}
 	graph.ReleaseBitset(used)
 	graph.ReleaseBitset(inBall)

@@ -23,21 +23,21 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 	richMask := make([]bool, n)
 	degAlive := g.DegreesInMask(alive, nil)
 	for v := 0; v < n; v++ {
-		if alive[v] {
-			st.Alive++
-		}
-	}
-	var rich []int
-	for v := 0; v < n; v++ {
 		if !alive[v] {
 			continue
 		}
+		st.Alive++
 		if richTest(degAlive[v], v) {
 			richMask[v] = true
-			rich = append(rich, v)
 			st.Rich++
 		} else {
 			st.Poor++
+		}
+	}
+	rich := make([]int, 0, st.Rich)
+	for v, ok := range richMask {
+		if ok {
+			rich = append(rich, v)
 		}
 	}
 
@@ -63,6 +63,7 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 
 	// (b) non-Gallai balls, per component of G[rich].
 	scratch := make([]bool, n)
+	var ballMask []bool // made on first use by the per-vertex fallback
 	for _, comp := range g.Components(richMask) {
 		allHappy := true
 		for _, v := range comp {
@@ -103,7 +104,9 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 			continue
 		}
 		// Exact per-vertex fallback.
-		ballMask := make([]bool, n)
+		if ballMask == nil {
+			ballMask = make([]bool, n)
+		}
 		for _, v := range comp {
 			if happyMask[v] {
 				continue
@@ -125,7 +128,7 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 		}
 	}
 
-	var happy []int
+	happy := make([]int, 0, st.HappyLow+st.HappyGal) // each happy vertex counted once
 	for _, v := range rich {
 		if happyMask[v] {
 			happy = append(happy, v)

@@ -172,8 +172,9 @@ func (g *Graph) FindCliqueDPlus1(d int) []int {
 		// later-neighborhood subsets only when the later neighborhood is
 		// exactly d (still sound: report nil rather than guess).
 	}
+	later := make([]int, 0, d+1)
 	for _, v := range res.Order {
-		later := make([]int, 0, d+1)
+		later = later[:0]
 		for _, w32 := range g.Neighbors(v) {
 			w := int(w32)
 			if res.Pos[w] > res.Pos[v] {

@@ -7,45 +7,61 @@ package graph
 // thousands of bounded searches over the same graph.
 //
 // A Traversal is owned by one goroutine at a time. Obtain one with
-// Graph.NewTraversal (long-lived loops) or let the Graph's internal pool
-// manage them via the convenience wrappers (Ball, Components, …).
+// Graph.NewTraversal (long-lived loops) or borrow one from the package's
+// shared workspace cache with Graph.AcquireTraversal, as the convenience
+// wrappers (Ball, Components, …) do.
 type Traversal struct {
 	g      *Graph
 	dist   []int32
 	parent []int32
 	mark   []uint32
 	epoch  uint32
-	order  []int32
-	queue  []int32
+	// queue is the BFS queue, never popped: after Run it lists the reached
+	// vertices in nondecreasing distance, so it doubles as Order.
+	queue []int32
 }
 
 // NewTraversal returns a fresh traversal workspace for g.
 func (g *Graph) NewTraversal() *Traversal {
+	t := &Traversal{}
+	t.bind(g)
+	return t
+}
+
+// bind points t at g, growing its per-vertex arrays to g's size. Stamps
+// carried over from another graph are older than any epoch t will use
+// again, so they read as unreached.
+func (t *Traversal) bind(g *Graph) {
 	n := g.N()
-	return &Traversal{
-		g:      g,
-		dist:   make([]int32, n),
-		parent: make([]int32, n),
-		mark:   make([]uint32, n),
-	}
+	t.g = g
+	t.dist = growZeroed(t.dist, n)
+	t.parent = growZeroed(t.parent, n)
+	t.mark = growZeroed(t.mark, n)
 }
 
-// AcquireTraversal takes a traversal workspace from the graph's internal
-// pool (constructing one when the pool is cold, including on zero-value
-// Graphs whose pool has no constructor). Pair with ReleaseTraversal when
-// done; the pooled form is what the package's own wrappers (Ball,
-// Components, Eccentricity, …) use, and external hot loops should use it
-// too rather than allocating per call.
+var traversals scratchCache[Traversal]
+
+// AcquireTraversal borrows a traversal workspace for g from a cache shared
+// by all graphs, so the induced subgraphs of the root-ball path reuse the
+// buffers of earlier searches instead of starting cold. Pair with
+// ReleaseTraversal when done; the package's own wrappers (Ball,
+// Components, Eccentricity, …) use it, and external hot loops should use
+// it too rather than allocating per call.
 func (g *Graph) AcquireTraversal() *Traversal {
-	if t, ok := g.scratch.Get().(*Traversal); ok {
-		return t
+	t := traversals.get()
+	if t == nil {
+		return g.NewTraversal()
 	}
-	return g.NewTraversal()
+	t.bind(g)
+	return t
 }
 
-// ReleaseTraversal returns a workspace obtained from AcquireTraversal to the
-// pool. The traversal must not be used afterwards.
-func (g *Graph) ReleaseTraversal(t *Traversal) { g.scratch.Put(t) }
+// ReleaseTraversal returns a workspace obtained from AcquireTraversal (or
+// NewTraversal) to the cache. The traversal must not be used afterwards.
+func (g *Graph) ReleaseTraversal(t *Traversal) {
+	t.g = nil // do not pin the graph (or its mapped file) from the cache
+	traversals.put(t, len(t.mark))
+}
 
 // Run executes a BFS from sources, restricted to vertices with
 // mask[v] == true (nil mask = all), up to the given radius (negative =
@@ -57,7 +73,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 		t.epoch = 0
 	}
 	t.epoch++
-	t.order = t.order[:0]
 	t.queue = t.queue[:0]
 	for _, s := range sources {
 		if mask != nil && !mask[s] {
@@ -71,7 +86,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 		t.parent[s] = -1
 		t.queue = append(t.queue, int32(s))
 	}
-	t.order = append(t.order, t.queue...)
 	offsets, neighbors := t.g.offsets, t.g.neighbors
 	for head := 0; head < len(t.queue); head++ {
 		v := t.queue[head]
@@ -90,7 +104,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 			t.dist[w] = d + 1
 			t.parent[w] = v
 			t.queue = append(t.queue, w)
-			t.order = append(t.order, w)
 		}
 	}
 }
@@ -119,15 +132,15 @@ func (t *Traversal) Parent(v int) int {
 // Order returns the vertices reached by the last Run in nondecreasing
 // distance. The slice is valid until the next Run; callers must not modify
 // it.
-func (t *Traversal) Order() []int32 { return t.order }
+func (t *Traversal) Order() []int32 { return t.queue }
 
 // MaxDist returns the largest distance reached by the last Run (0 when
 // nothing was reached).
 func (t *Traversal) MaxDist() int {
-	if len(t.order) == 0 {
+	if len(t.queue) == 0 {
 		return 0
 	}
-	return int(t.dist[t.order[len(t.order)-1]])
+	return int(t.dist[t.queue[len(t.queue)-1]])
 }
 
 // BFSResult holds the outcome of a breadth-first search.
@@ -154,13 +167,13 @@ func (g *Graph) BFS(sources []int, mask []bool, radius int) BFSResult {
 	res := BFSResult{
 		Dist:   make([]int, n),
 		Parent: make([]int, n),
-		Order:  make([]int, 0, len(t.order)),
+		Order:  make([]int, 0, len(t.queue)),
 	}
 	for v := range res.Dist {
 		res.Dist[v] = -1
 		res.Parent[v] = -1
 	}
-	for _, v32 := range t.order {
+	for _, v32 := range t.queue {
 		v := int(v32)
 		res.Dist[v] = int(t.dist[v32])
 		res.Parent[v] = int(t.parent[v32])
@@ -179,8 +192,8 @@ func (g *Graph) Ball(v int, radius int, mask []bool) []int {
 	}
 	t := g.AcquireTraversal()
 	t.Run([]int{v}, mask, radius)
-	out := make([]int, len(t.order))
-	for i, u := range t.order {
+	out := make([]int, len(t.queue))
+	for i, u := range t.queue {
 		out[i] = int(u)
 	}
 	g.ReleaseTraversal(t)
@@ -209,8 +222,8 @@ func (g *Graph) Components(mask []bool) [][]int {
 			continue
 		}
 		t.Run([]int{v}, mask, -1)
-		comp := make([]int, len(t.order))
-		for i, u := range t.order {
+		comp := make([]int, len(t.queue))
+		for i, u := range t.queue {
 			comp[i] = int(u)
 			seen[u] = true
 		}
@@ -232,7 +245,7 @@ func (g *Graph) IsConnected(mask []bool) bool {
 			continue
 		}
 		t.Run([]int{v}, mask, -1)
-		reached := len(t.order)
+		reached := len(t.queue)
 		total := 0
 		if mask == nil {
 			total = n

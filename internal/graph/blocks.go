@@ -1,6 +1,6 @@
 package graph
 
-import "sync"
+import "slices"
 
 // Block is a biconnected component: a maximal 2-connected subgraph, or a
 // bridge edge, or (degenerately) an isolated vertex is *not* a block — blocks
@@ -23,85 +23,93 @@ type BlockDecomposition struct {
 	BlocksOf [][]int
 }
 
-type blockEdge struct{ u, v int }
+type blockEdge struct{ u, v int32 }
 
-// blocksScratch is the pooled DFS workspace of Blocks. Only num needs
+// blocksScratch is the cached DFS workspace of blocksDFS. Only num needs
 // clearing per use (0 = unvisited); low/parent/iter are written at each
 // vertex's discovery, and seenIn uses the monotone blockStamp counter so
-// stale entries can never collide.
+// stale entries can never collide. blkEdges and blkVerts collect every
+// emitted block back to back, so Blocks can copy them out at exact size.
 type blocksScratch struct {
-	num, low, parent, iter []int
-	seenIn                 []int
+	num, low, parent, iter []int32
+	seenIn                 []uint32
+	blockStamp             uint32
 	estack                 []blockEdge
-	stack                  []int
+	stack                  []int32
 	blkEdges               [][2]int
 	blkVerts               []int
-	blockStamp             int
+	// blkEnds[i] holds the ends of block i in blkEdges and blkVerts.
+	blkEnds [][2]int
 }
 
-var blocksScratchPool sync.Pool
+var blocksScratches scratchCache[blocksScratch]
 
 func acquireBlocksScratch(n int) *blocksScratch {
-	s, _ := blocksScratchPool.Get().(*blocksScratch)
+	s := blocksScratches.get()
 	if s == nil {
 		s = &blocksScratch{}
 	}
-	if n > len(s.num) {
-		grow := n - len(s.num)
-		s.num = append(s.num, make([]int, grow)...)
-		s.low = append(s.low, make([]int, grow)...)
-		s.parent = append(s.parent, make([]int, grow)...)
-		s.iter = append(s.iter, make([]int, grow)...)
-		s.seenIn = append(s.seenIn, make([]int, grow)...)
-	}
+	s.num = growZeroed(s.num, n)
+	s.low = growZeroed(s.low, n)
+	s.parent = growZeroed(s.parent, n)
+	s.iter = growZeroed(s.iter, n)
+	s.seenIn = growZeroed(s.seenIn, n)
 	clear(s.num[:n])
 	s.estack = s.estack[:0]
 	s.stack = s.stack[:0]
+	s.blkEdges = s.blkEdges[:0]
+	s.blkVerts = s.blkVerts[:0]
+	s.blkEnds = s.blkEnds[:0]
 	return s
 }
 
+func releaseBlocksScratch(s *blocksScratch) { blocksScratches.put(s, len(s.num)) }
+
 // blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
-// IsGallaiForest. For every emitted block it calls sink with transient
-// edge/vertex slices — valid only during the call, reused for the next
-// block — in deterministic first-seen order; sink returns false to abort
-// the walk early. markCut (may be nil) is called for articulation points,
-// possibly more than once per vertex.
-func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bool, markCut func(int)) {
+// IsGallaiForest. For every emitted block it appends the block's edges and
+// vertices to ws.blkEdges and ws.blkVerts, records their ends in
+// ws.blkEnds, and calls sink with the block's part of the two slices, in
+// deterministic first-seen order; sink returns false to abort the walk
+// early. markCut (may be nil) is called for articulation points, possibly
+// more than once per vertex.
+func (g *Graph) blocksDFS(ws *blocksScratch, mask []bool, sink func(edges [][2]int, verts []int) bool, markCut func(int)) {
 	n := g.N()
-	ws := acquireBlocksScratch(n)
-	defer blocksScratchPool.Put(ws)
 	num, low, parent, iter := ws.num, ws.low, ws.parent, ws.iter
 	estack := ws.estack
-	counter := 0
+	counter := int32(0)
 
-	inMask := func(v int) bool { return mask == nil || mask[v] }
+	inMask := func(v int32) bool { return mask == nil || mask[v] }
 
 	// seenIn[w] stamps the block w was last emitted into, so vertex dedup
 	// inside popBlock is a flat-array probe instead of a map.
 	seenIn := ws.seenIn
-	popBlock := func(u, v int) bool {
+	popBlock := func(u, v int32) bool {
 		// Pop edges up to and including (u,v) and emit them as one block.
-		ws.blkEdges = ws.blkEdges[:0]
-		ws.blkVerts = ws.blkVerts[:0]
+		e0, v0 := len(ws.blkEdges), len(ws.blkVerts)
+		if ws.blockStamp == ^uint32(0) { // stamp wrap: clear once every 2³² blocks
+			clear(seenIn)
+			ws.blockStamp = 0
+		}
 		ws.blockStamp++
 		stampv := ws.blockStamp
-		addVert := func(w int) {
+		addVert := func(w int32) {
 			if seenIn[w] != stampv {
 				seenIn[w] = stampv
-				ws.blkVerts = append(ws.blkVerts, w)
+				ws.blkVerts = append(ws.blkVerts, int(w))
 			}
 		}
 		for len(estack) > 0 {
 			e := estack[len(estack)-1]
 			estack = estack[:len(estack)-1]
-			ws.blkEdges = append(ws.blkEdges, [2]int{e.u, e.v})
+			ws.blkEdges = append(ws.blkEdges, [2]int{int(e.u), int(e.v)})
 			addVert(e.u)
 			addVert(e.v)
 			if e.u == u && e.v == v {
 				break
 			}
 		}
-		return sink(ws.blkEdges, ws.blkVerts)
+		ws.blkEnds = append(ws.blkEnds, [2]int{len(ws.blkEdges), len(ws.blkVerts)})
+		return sink(ws.blkEdges[e0:], ws.blkVerts[v0:])
 	}
 
 	stack := ws.stack
@@ -109,7 +117,8 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 		ws.estack = estack[:0]
 		ws.stack = stack[:0]
 	}()
-	for root := 0; root < n; root++ {
+	for r := 0; r < n; r++ {
+		root := int32(r)
 		if num[root] != 0 || !inMask(root) {
 			continue
 		}
@@ -123,9 +132,9 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			advanced := false
-			nbrs := g.Neighbors(v)
-			for iter[v] < len(nbrs) {
-				w := int(nbrs[iter[v]])
+			nbrs := g.Neighbors(int(v))
+			for int(iter[v]) < len(nbrs) {
+				w := nbrs[iter[v]]
 				iter[v]++
 				if !inMask(w) {
 					continue
@@ -169,38 +178,63 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 						}
 					}
 					if p != root && markCut != nil {
-						markCut(p)
+						markCut(int(p))
 					}
 				}
 			}
 		}
 		if rootChildren >= 2 && markCut != nil {
-			markCut(root)
+			markCut(r)
 		}
 	}
 }
 
 // Blocks computes the biconnected components of the masked graph (nil mask =
 // all vertices) with an iterative Hopcroft–Tarjan DFS (no recursion, safe for
-// path graphs of any length). The DFS workspace is pooled: the root-ball
-// recoloring path runs Blocks on thousands of tiny induced subgraphs.
+// path graphs of any length). The DFS workspace is cached across calls (the
+// root-ball recoloring path runs Blocks on thousands of tiny induced
+// subgraphs), and the result is copied out of it at exact size: the blocks'
+// edges, their vertices and BlocksOf each share one backing array, so a
+// call allocates a fixed handful of times, however many blocks it finds.
 func (g *Graph) Blocks(mask []bool) *BlockDecomposition {
 	n := g.N()
-	dec := &BlockDecomposition{
-		IsCut:    make([]bool, n),
-		BlocksOf: make([][]int, n),
+	ws := acquireBlocksScratch(n)
+	defer releaseBlocksScratch(ws)
+	dec := &BlockDecomposition{IsCut: make([]bool, n)}
+	g.blocksDFS(ws, mask, func([][2]int, []int) bool { return true },
+		func(v int) { dec.IsCut[v] = true })
+
+	edges := slices.Clone(ws.blkEdges)
+	verts := slices.Clone(ws.blkVerts)
+	dec.Blocks = make([]Block, len(ws.blkEnds))
+	e0, v0 := 0, 0
+	for i, end := range ws.blkEnds {
+		dec.Blocks[i] = Block{Edges: edges[e0:end[0]:end[0]], Vertices: verts[v0:end[1]:end[1]]}
+		e0, v0 = end[0], end[1]
 	}
-	g.blocksDFS(mask, func(edges [][2]int, verts []int) bool {
-		idx := len(dec.Blocks)
-		dec.Blocks = append(dec.Blocks, Block{
-			Edges:    append([][2]int(nil), edges...),
-			Vertices: append([]int(nil), verts...),
-		})
-		for _, w := range verts {
-			dec.BlocksOf[w] = append(dec.BlocksOf[w], idx)
+
+	// BlocksOf: count each vertex's blocks (in iter, free once the DFS is
+	// done), carve one backing array into per-vertex slices of exactly
+	// that capacity, then fill them in block order.
+	count := ws.iter[:n]
+	clear(count)
+	for _, v := range verts {
+		count[v]++
+	}
+	backing := make([]int, len(verts))
+	dec.BlocksOf = make([][]int, n)
+	off := 0
+	for v, c := range count {
+		if c > 0 {
+			dec.BlocksOf[v] = backing[off : off : off+int(c)]
+			off += int(c)
 		}
-		return true
-	}, func(v int) { dec.IsCut[v] = true })
+	}
+	for i := range dec.Blocks {
+		for _, v := range dec.Blocks[i].Vertices {
+			dec.BlocksOf[v] = append(dec.BlocksOf[v], i)
+		}
+	}
 	return dec
 }
 
@@ -239,11 +273,14 @@ func BlockIsGood(b *Block) bool {
 // IsGallaiForest reports whether every connected component of the masked
 // graph is a Gallai tree: every block is a clique or an odd cycle. The empty
 // graph and edgeless graphs are Gallai forests. It streams blocks out of the
-// DFS and aborts at the first bad one, allocating nothing — the happy-set
-// classification calls this once per candidate ball.
+// DFS and aborts at the first bad one, allocating nothing once the cached
+// workspace has grown to the graph — the happy-set classification calls
+// this once per candidate ball.
 func (g *Graph) IsGallaiForest(mask []bool) bool {
+	ws := acquireBlocksScratch(g.N())
+	defer releaseBlocksScratch(ws)
 	good := true
-	g.blocksDFS(mask, func(edges [][2]int, verts []int) bool {
+	g.blocksDFS(ws, mask, func(edges [][2]int, verts []int) bool {
 		k := len(verts)
 		if len(edges) == k*(k-1)/2 {
 			return true // clique (includes bridges, k=2)

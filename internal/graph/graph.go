@@ -43,8 +43,6 @@ type Graph struct {
 	// was loaded zero-copy from a .dcsr mapping (see OpenDCSR): as long as
 	// any reference to the Graph lives, the mapping cannot be unmapped.
 	backing any
-
-	scratch sync.Pool // *Traversal, reused by Ball/Components/etc.
 }
 
 // New builds a graph with n vertices and the given edges. It panics on
@@ -218,9 +216,7 @@ func (b *Builder) Graph() *Graph {
 }
 
 func newCSR(offsets, neighbors []int32, m, maxDeg int) *Graph {
-	g := &Graph{offsets: offsets, neighbors: neighbors, m: m, maxDeg: maxDeg}
-	g.scratch.New = func() any { return g.NewTraversal() }
-	return g
+	return &Graph{offsets: offsets, neighbors: neighbors, m: m, maxDeg: maxDeg}
 }
 
 func contains(s []int32, x int32) bool {
@@ -392,10 +388,10 @@ type indexMap struct {
 	epoch uint32
 }
 
-var indexMapPool sync.Pool
+var indexMaps scratchCache[indexMap]
 
 func acquireIndexMap(n int) *indexMap {
-	m, _ := indexMapPool.Get().(*indexMap)
+	m := indexMaps.get()
 	if m == nil {
 		m = &indexMap{}
 	}
@@ -404,12 +400,12 @@ func acquireIndexMap(n int) *indexMap {
 		m.epoch = 0
 	}
 	m.epoch++
-	if n > len(m.idx) {
-		m.idx = append(m.idx, make([]int32, n-len(m.idx))...)
-		m.stamp = append(m.stamp, make([]uint32, n-len(m.stamp))...)
-	}
+	m.idx = growZeroed(m.idx, n)
+	m.stamp = growZeroed(m.stamp, n)
 	return m
 }
+
+func releaseIndexMap(m *indexMap) { indexMaps.put(m, len(m.idx)) }
 
 func (m *indexMap) set(v, i int) { m.idx[v] = int32(i); m.stamp[v] = m.epoch }
 
@@ -425,7 +421,7 @@ func (m *indexMap) get(v int) (int, bool) {
 // than once are an error.
 func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
 	im := acquireIndexMap(g.N())
-	defer indexMapPool.Put(im)
+	defer releaseIndexMap(im)
 	orig := make([]int, len(verts))
 	for i, v := range verts {
 		if v < 0 || v >= g.N() {

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -40,7 +41,8 @@ type Forest struct {
 }
 
 // Compute builds an (α, O(α log n))-ruling forest of the masked graph with
-// respect to U. IDs come from the network (nw.ID); mask restricts the graph
+// respect to U. IDs come from the network (nw.ID) and must be a permutation
+// of 1..n, or Compute returns an error; mask restricts the graph
 // (nil = all vertices); every u ∈ U must satisfy the mask. Rounds are
 // charged to the ledger under the given phase. Cancellation is cooperative:
 // ctx is checked once per bit level (each level costs α LOCAL rounds).
@@ -54,7 +56,6 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	if alpha < 1 {
 		return nil, fmt.Errorf("ruling: alpha must be ≥ 1, got %d", alpha)
 	}
-	inU := make([]bool, n)
 	for _, v := range u {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("ruling: U vertex %d out of range", v)
@@ -62,7 +63,27 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 		if mask != nil && !mask[v] {
 			return nil, fmt.Errorf("ruling: U vertex %d outside mask", v)
 		}
-		inU[v] = true
+	}
+	// byID inverts the ID assignment, so a level's groups are contiguous
+	// runs of IDs: the group of prefix p at bit level i holds IDs
+	// [p·2^(i+1), (p+1)·2^(i+1)), its bit-0 members in the lower half.
+	// The merge separates only IDs in 1..n (it runs bits.Len(n) levels),
+	// so anything but a permutation of 1..n is rejected.
+	if len(nw.ID) != n {
+		return nil, fmt.Errorf("ruling: %d IDs for %d vertices", len(nw.ID), n)
+	}
+	byID := make([]int32, n+1)
+	for i := range byID {
+		byID[i] = -1
+	}
+	for v, id := range nw.ID {
+		if id < 1 || id > n {
+			return nil, fmt.Errorf("ruling: vertex %d has ID %d outside 1..%d", v, id, n)
+		}
+		if byID[id] != -1 {
+			return nil, fmt.Errorf("ruling: ID %d held by vertices %d and %d", id, byID[id], v)
+		}
+		byID[id] = int32(v)
 	}
 
 	// --- Phase 1: ruling set by bit-level merges. One pooled traversal
@@ -100,36 +121,32 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 		isRuler[v] = true
 	}
 	levels := bits.Len(uint(n)) // IDs are 1..n
-	zeroComps := map[int]bool{} // components holding a bit-0 member, per group
+	// zeroStamp[c] == group marks component c as holding a bit-0 member of
+	// the current group; group numbers grow across levels, so no clearing.
+	zeroStamp := make([]int, len(compDiamUB))
+	group := 0
+	var zeros, slowZeros []int
 	for bit := 0; bit < levels; bit++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Group rulers by ID prefix above this bit.
-		groups := map[int][]int{}
-		for v := 0; v < n; v++ {
-			if isRuler[v] {
-				groups[nw.ID[v]>>(bit+1)] = append(groups[nw.ID[v]>>(bit+1)], v)
-			}
-		}
-		for _, members := range groups {
-			var zeros []int
-			hasOne := false
-			clear(zeroComps)
-			for _, v := range members {
-				if (nw.ID[v]>>bit)&1 == 0 {
-					zeros = append(zeros, v)
-					zeroComps[compID[v]] = true
-				} else {
-					hasOne = true
+		half := 1 << bit
+		for lo := 0; lo <= n; lo += 2 * half {
+			mid, hi := min(lo+half, n+1), min(lo+2*half, n+1)
+			group++
+			zeros = zeros[:0]
+			for _, v := range byID[max(lo, 1):mid] { // ID 0 is unused
+				if isRuler[v] {
+					zeros = append(zeros, int(v))
+					zeroStamp[compID[v]] = group
 				}
 			}
-			if len(zeros) == 0 || !hasOne {
+			if len(zeros) == 0 || !slices.ContainsFunc(byID[mid:hi], func(v int32) bool { return isRuler[v] }) {
 				continue
 			}
 			// Drop bit-1 members within distance < alpha of a bit-0 member:
 			// saturated components by component identity, the rest by BFS.
-			slowZeros := zeros[:0:0]
+			slowZeros = slowZeros[:0]
 			for _, z := range zeros {
 				if compDiamUB[compID[z]] > alpha-1 {
 					slowZeros = append(slowZeros, z)
@@ -138,14 +155,14 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 			if len(slowZeros) > 0 {
 				tr.Run(slowZeros, mask, alpha-1)
 			}
-			for _, v := range members {
-				if (nw.ID[v]>>bit)&1 != 1 {
+			for _, v := range byID[mid:hi] {
+				if !isRuler[v] {
 					continue
 				}
 				c := compID[v]
-				if zeroComps[c] && compDiamUB[c] <= alpha-1 {
+				if zeroStamp[c] == group && compDiamUB[c] <= alpha-1 {
 					isRuler[v] = false
-				} else if len(slowZeros) > 0 && tr.Reached(v) {
+				} else if len(slowZeros) > 0 && tr.Reached(int(v)) {
 					isRuler[v] = false
 				}
 			}
@@ -224,7 +241,13 @@ func IndependentRulingSet(ctx context.Context, nw *local.Network, ledger *local.
 
 // TreeVertices returns all vertices in the forest, ascending.
 func (f *Forest) TreeVertices() []int {
-	var out []int
+	k := 0
+	for _, ok := range f.InTree {
+		if ok {
+			k++
+		}
+	}
+	out := make([]int, 0, k)
 	for v, ok := range f.InTree {
 		if ok {
 			out = append(out, v)

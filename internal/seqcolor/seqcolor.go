@@ -10,7 +10,6 @@ package seqcolor
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"distcolor/internal/graph"
 )
@@ -318,25 +317,24 @@ func effectiveListSizeSlow(g *graph.Graph, colors []int, list []int, v int) int 
 	return k
 }
 
-func effectiveList(g *graph.Graph, colors []int, list []int, v int) []int {
+// appendEffectiveList appends to dst the colors of list (in list order)
+// unused by v's colored neighbors. b is scratch (any width; reset here).
+func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) []int {
 	width := listWidth(list)
 	if width < 0 {
-		return effectiveListSlow(g, colors, list, v)
+		return appendEffectiveListSlow(dst, g, colors, list, v)
 	}
-	b := graph.AcquireBitset(width)
+	b.Reset(width)
 	markUsed(g, colors, v, width, b)
-	out := make([]int, 0, len(list))
 	for _, c := range list {
 		if !b.Test(c) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	graph.ReleaseBitset(b)
-	return out
+	return dst
 }
 
-func effectiveListSlow(g *graph.Graph, colors []int, list []int, v int) []int {
-	out := make([]int, 0, len(list))
+func appendEffectiveListSlow(dst []int, g *graph.Graph, colors []int, list []int, v int) []int {
 	for _, c := range list {
 		used := false
 		for _, w := range g.Neighbors(v) {
@@ -346,10 +344,10 @@ func effectiveListSlow(g *graph.Graph, colors []int, list []int, v int) []int {
 			}
 		}
 		if !used {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 func uncoloredDegree(g *graph.Graph, colors []int, v int) int {
@@ -432,14 +430,16 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 // extension never reaches this path: happy roots guarantee a surplus vertex
 // or a non-Gallai ball.
 func gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+	b := graph.AcquireBitset(0)
+	defer graph.ReleaseBitset(b)
 	for _, u := range comp {
-		eu := effectiveList(g, colors, lists[u], u)
+		eu := appendEffectiveList(nil, g, colors, lists[u], u, b)
 		for _, w32 := range g.Neighbors(u) {
 			w := int(w32)
 			if !compMask[w] || colors[w] != Uncolored {
 				continue
 			}
-			ew := effectiveList(g, colors, lists[w], w)
+			ew := appendEffectiveList(nil, g, colors, lists[w], w, b)
 			a, ok := colorInFirstNotSecond(eu, ew)
 			if !ok {
 				continue
@@ -499,25 +499,24 @@ func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 // odd cycle, all of whose vertices are uncolored with effective lists of
 // size ≥ block-degree (tight in the hard case).
 func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
-	// Materialize the block as its own graph.
-	idx := make(map[int]int, len(blk.Vertices))
-	verts := append([]int(nil), blk.Vertices...)
-	sort.Ints(verts)
-	for i, v := range verts {
-		idx[v] = i
+	d, verts, err := blockGraph(g, blk)
+	if err != nil {
+		return fmt.Errorf("seqcolor: block graph: %w", err)
 	}
-	bld := graph.NewBuilder(len(verts))
-	for _, e := range blk.Edges {
-		if err := bld.AddEdge(idx[e[0]], idx[e[1]]); err != nil {
-			return fmt.Errorf("seqcolor: block graph: %w", err)
-		}
-	}
-	d := bld.Graph()
 
-	eff := make([][]int, d.N())
-	for i, v := range verts {
-		eff[i] = effectiveList(g, colors, lists[v], v)
+	total := 0
+	for _, v := range verts {
+		total += len(lists[v])
 	}
+	backing := make([]int, 0, total)
+	eff := make([][]int, d.N())
+	b := graph.AcquireBitset(0)
+	for i, v := range verts {
+		start := len(backing)
+		backing = appendEffectiveList(backing, g, colors, lists[v], v, b)
+		eff[i] = backing[start:len(backing):len(backing)]
+	}
+	graph.ReleaseBitset(b)
 	sub := make([]int, d.N())
 	for i := range sub {
 		sub[i] = Uncolored
@@ -533,6 +532,27 @@ func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block
 		colors[v] = sub[i]
 	}
 	return nil
+}
+
+// blockGraph materializes blk as its own graph, with vertex i standing for
+// the i-th smallest block vertex (returned as verts). Two vertices of one
+// block that are adjacent in g are joined by an edge of that block (the
+// block's vertices all lie in the masked component it came from, and an
+// edge lies in exactly one block), so the block graph is the subgraph of g
+// induced on its vertices. The vertices are sorted by a bitset sweep,
+// O(k + n/64) for a block of k of g's n vertices.
+func blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph, verts []int, err error) {
+	in := graph.AcquireBitset(g.N())
+	for _, v := range blk.Vertices {
+		in.Set(v)
+	}
+	verts = make([]int, 0, len(blk.Vertices))
+	for v := in.NextSet(0); v >= 0; v = in.NextSet(v + 1) {
+		verts = append(verts, v)
+	}
+	graph.ReleaseBitset(in)
+	d, _, err = g.Induced(verts)
+	return d, verts, err
 }
 
 // colorTwoConnectedTight colors a connected graph d with lists eff where
@@ -630,6 +650,18 @@ func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
 // lemma, algorithmic form.)
 func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 	n := d.N()
+	// One all-true mask serves every candidate: each test clears its
+	// vertices and restores them afterwards.
+	mask := make([]bool, n)
+	for v := range mask {
+		mask[v] = true
+	}
+	connectedWithout := func(a, b int) bool {
+		mask[a], mask[b] = false, false
+		ok := d.IsConnected(mask)
+		mask[a], mask[b] = true, true
+		return ok
+	}
 	// Fast path: in well-connected graphs (the typical case) almost any
 	// distance-2 pair works; try a bounded number of candidates before the
 	// exhaustive block-structure search.
@@ -643,11 +675,7 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 					continue
 				}
 				tried++
-				mask := make([]bool, n)
-				for v := range mask {
-					mask[v] = v != a && v != b
-				}
-				if d.IsConnected(mask) {
+				if connectedWithout(a, b) {
 					return a, b, zc, nil
 				}
 			}
@@ -656,11 +684,9 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 	// Case 1: some z leaves a cut vertex in d−z ⇒ pick interior neighbors
 	// of z in two different leaf blocks of d−z.
 	for zc := 0; zc < n; zc++ {
-		mask := make([]bool, n)
-		for i := range mask {
-			mask[i] = i != zc
-		}
+		mask[zc] = false
 		dec := d.Blocks(mask)
+		mask[zc] = true
 		hasCut := false
 		for v := 0; v < n; v++ {
 			if dec.IsCut[v] {
@@ -703,11 +729,7 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 				if d.HasEdge(a, b) {
 					continue
 				}
-				mask := make([]bool, n)
-				for v := range mask {
-					mask[v] = v != a && v != b
-				}
-				if d.IsConnected(mask) {
+				if connectedWithout(a, b) {
 					return a, b, zc, nil
 				}
 			}
