@@ -7,7 +7,7 @@ GO ?= go
 # primitives its hot path leans on, and the instrumented (Obs) twins of the
 # delivery and serving benchmarks so the trajectory records observability
 # cost alongside raw cost.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkRulingCompute|BenchmarkColorBallTheorem11|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkLubyApollonian|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkRulingCompute|BenchmarkColorBallTheorem11|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
 BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/core ./internal/serve ./internal/cluster
 
 all: ci
@@ -36,13 +36,13 @@ perfbench-test:
 
 # The message plane must be bit-identical at any parallelism; run the LOCAL
 # engine suite pinned to a single worker to prove the degenerate case
-# (delivery, compaction and output collection all collapse onto one shard).
+# (every round, and output collection, runs inline on the coordinator).
 test-serial:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/local/...
 
 # Race-detector pass over the concurrent packages: the serving layer (job
 # scheduler, LRU store, coalescing, cancellation) and the LOCAL engine's
-# sharded message plane, plus the root-package cancellation/registry and
+# pooled message plane, plus the root-package cancellation/registry and
 # cross-GOMAXPROCS determinism tests.
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/local/... ./internal/cluster/...

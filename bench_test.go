@@ -184,7 +184,7 @@ func BenchmarkCollectBallsSync(b *testing.B) {
 
 // deliveryProgram broadcasts a tiny payload every round: Step cost is
 // negligible, so RunSync wall time is dominated by the message plane
-// (routing, staging, shard delivery).
+// (inbox gathering, outbox copies, round barriers).
 type deliveryProgram struct {
 	id     int
 	rounds int
@@ -203,7 +203,7 @@ func (p *deliveryProgram) Step(round int, inbox []local.Inbound) ([]local.Outbou
 }
 func (p *deliveryProgram) Output() any { return p.acc }
 
-// BenchmarkRunSyncDelivery measures the sharded message plane on its worst
+// BenchmarkRunSyncDelivery measures the message plane on its worst
 // case: a hub-heavy graph (a clique of hubs, each fanning out to hundreds
 // of leaves) where a handful of receivers absorb most of the traffic, under
 // a program whose step work is trivial — so the benchmark is bound by
@@ -245,6 +245,22 @@ func benchRunSyncDelivery(b *testing.B, mkLedger func() *local.Ledger) {
 		_, err := local.RunSync(context.Background(), nw, mkLedger(), "bench", rounds+3,
 			func(v int) local.Program { return &deliveryProgram{rounds: rounds} })
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLubyApollonian runs one luby job per op on apollonian:20000, a
+// planar triangulation whose hubs make Δ far exceed the mean degree of 6:
+// it measures the Luby palette and the message plane's gather path
+// together, end to end through Run. Allocation figures are reported; the
+// per-op allocation is dominated by per-run arrays, not per-round work.
+func BenchmarkLubyApollonian(b *testing.B) {
+	g := gen.Apollonian(20000, rand.New(rand.NewPCG(1, 1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), g, "luby", WithSeed(7)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,8 +62,8 @@ func goldenCases() []goldenCase {
 		"nice":          {"apollonian:100"},
 		"gps7":          {"apollonian:200"},
 		"be":            {"forests:150,2"},
-		"luby":          {"regular:200,3"},
-		"randomized":    {"grid:8x8"},
+		"luby":          {"regular:200,3", "apollonian:2000"},
+		"randomized":    {"grid:8x8", "apollonian:2000"},
 	}
 	var cases []goldenCase
 	for _, a := range distcolor.Algorithms() {

@@ -13,8 +13,8 @@ import (
 // countdownProgram broadcasts a round-tagged message until a per-node
 // deadline derived from its ID, recording every arrival. Deadlines are
 // staggered so the active list shrinks gradually — the run crosses the
-// BatchThreshold fusion cutoff mid-execution, exercising the pooled→serial
-// transition (enterSerial) rather than starting on either side of it.
+// BatchThreshold fusion cutoff mid-execution, exercising the pooled→inline
+// hand-off rather than starting on either side of it.
 type countdownProgram struct {
 	info NodeInfo
 	last int

@@ -78,8 +78,8 @@ func runOrderProgram(t *testing.T, nw *Network, rounds int) ([]any, ledgerView) 
 }
 
 // hubHeavyNetwork builds a graph dominated by a few high-degree hubs — the
-// delivery plane's worst case, since each hub's inbox is filled by a single
-// shard owner.
+// message plane's worst case, since one worker gathers each hub's whole
+// inbox while the leaves' gathers are trivial.
 func hubHeavyNetwork(tb testing.TB, hubs, leavesPerHub int) *Network {
 	tb.Helper()
 	n := hubs * (1 + leavesPerHub)
@@ -126,7 +126,7 @@ func TestInboxOrderSequential(t *testing.T) {
 	}
 }
 
-// TestRunSyncDeterministicAcrossGOMAXPROCS proves the sharded message plane
+// TestRunSyncDeterministicAcrossGOMAXPROCS proves the pooled message plane
 // is bit-identical at any parallelism: outputs, per-phase ledger charges,
 // message totals and per-round maxima all match the single-worker engine.
 func TestRunSyncDeterministicAcrossGOMAXPROCS(t *testing.T) {

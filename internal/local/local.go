@@ -6,11 +6,13 @@
 //
 // The package offers two execution faces with a shared round ledger:
 //
-//   - RunSync: a genuine synchronous message-passing engine — a bounded
-//     worker pool executes every node's step each round, with deterministic
-//     double-buffered message delivery between rounds. Used by the
-//     small-message subroutines (color reduction, flooding, ball
-//     collection) and by the cross-validation tests.
+//   - RunSync: a genuine synchronous message-passing engine — each round a
+//     bounded worker pool steps every active node, which first pulls its
+//     inbox from its neighbours' previous-round outboxes (double-buffered
+//     by round parity), so delivery is deterministic at any parallelism.
+//     Used by the small-message subroutines (color reduction, flooding,
+//     ball collection), the randomized baselines and the cross-validation
+//     tests.
 //   - Ledger.Charge: explicit round charging for centrally executed phases.
 //     In the LOCAL model any r-round algorithm is exactly equivalent to
 //     "collect the labeled radius-r ball and decide" — so ball-scale phases
@@ -94,7 +96,7 @@ type Ledger struct {
 	phases []PhaseCost
 	total  int
 
-	messages     int // messages delivered by RunSync
+	messages     int // messages sent through RunSync
 	maxRoundMsgs int // largest per-round total message count
 
 	// Progress, when non-nil, is invoked on every non-zero Charge. Set it
@@ -104,7 +106,7 @@ type Ledger struct {
 
 	// Trace, when non-nil, records the execution profile: every Charge
 	// lands in it, and RunSync additionally feeds it per-round message
-	// counts, active-list sizes and per-shard delivery timings. Several
+	// counts, active-list sizes and per-worker busy time. Several
 	// ledgers may share one trace (an outer run and its sub-runs record
 	// live into the same object); whoever folds a sub-ledger into an outer
 	// one with Merge must detach the shared trace first or the merged
@@ -112,11 +114,11 @@ type Ledger struct {
 	Trace *RoundTrace
 }
 
-// Messages returns the number of point-to-point messages delivered by the
+// Messages returns the number of point-to-point messages sent through the
 // message-passing engine (broadcasts count once per neighbor).
 func (l *Ledger) Messages() int { return l.messages }
 
-// MaxRoundMessages returns the largest number of messages delivered in any
+// MaxRoundMessages returns the largest number of messages sent in any
 // single round.
 func (l *Ledger) MaxRoundMessages() int { return l.maxRoundMsgs }
 
@@ -223,123 +225,93 @@ type Program interface {
 
 // workerChunk is how many active nodes a pool worker claims per grab. Large
 // enough to amortize the atomic increment, small enough to balance skewed
-// per-node step costs (flooding steps near a hub are far pricier than at the
-// periphery).
+// per-node step costs (a hub gathers far more messages than a leaf).
 const workerChunk = 64
 
 // BatchThreshold is the active-list size at or below which the engine fuses
-// every remaining round into inline serial execution on the coordinator: once
-// the live active list fits in a single worker chunk there is nothing left to
-// parallelize, and a pool dispatch (two phase barriers, workers woken twice)
-// costs more than the round it runs. The active list only ever shrinks —
-// halted nodes never return — so the engine switches once and never wakes the
-// pool again for the rest of the execution. This matters on the long bounded
-// tails the registry's RoundBound metadata describes (e.g. the Δ²-palette
-// color reductions charge one round per color class while only that class is
-// active): outputs, ledger charges and message counts are bit-identical
-// either way, which the engine tests enforce by holding fused executions
-// against BatchThreshold=0 runs.
+// every remaining round into inline execution on the coordinator: once the
+// live active list fits in a single worker chunk there is nothing left to
+// parallelize, and a pool dispatch (workers woken, a barrier) costs more than
+// the round it runs. The active list only ever shrinks — halted nodes never
+// return — so the engine switches once and never wakes the pool again for
+// the rest of the execution. This matters on the long bounded tails the
+// registry's RoundBound metadata describes (e.g. the Δ²-palette color
+// reductions charge one round per color class while only that class is
+// active). Inline and pooled rounds run the same per-node code, so outputs,
+// ledger charges and message counts are bit-identical either way, which the
+// engine tests enforce by holding fused executions against
+// BatchThreshold=0 runs.
 //
 // 0 disables fusion (every multi-worker round runs on the pool). The engine
 // snapshots the value at creation; tests that change it must restore it and
 // must not race a running engine.
 var BatchThreshold = workerChunk
 
-// staged is one routed message sitting in a staging bucket between the step
-// and delivery phases: the receiver vertex and its receiver-side port,
-// resolved at send time via the graph's CSR mirror array (graph.Mirror).
-type staged struct {
-	to   int32
-	port int32
-	msg  Message
+// worker is one pool worker's private round state. Only the worker that
+// owns it (or the coordinator, while the pool is parked) touches it, and the
+// trailing pad keeps neighbouring workers' hot fields off a shared cache
+// line.
+type worker struct {
+	inbox  []Inbound // gather scratch, reused for every node this worker steps
+	msgs   int       // messages sent this round, drained by roundMessages
+	busyNs int64     // pooled step-phase wall time, fed to the RoundTrace
+	_      [64]byte
 }
 
-// engine is the two-phase sharded message plane behind RunSync. One round
-// runs two pool phases over the same min(GOMAXPROCS, n) long-lived workers:
+// engine is the pull-based message plane behind RunSync. A round is one pool
+// phase over min(GOMAXPROCS, n) long-lived workers, which claim chunks of the
+// active list off an atomic cursor. For each node v a worker:
 //
-//   - Step phase: workers claim chunks of the active list off an atomic
-//     cursor and run each node's Step. Every outgoing message is routed
-//     immediately — receiver and receiver-side port resolved via the CSR
-//     mirror array — into the staging bucket keyed by (chunk index,
-//     receiver shard). Buckets are keyed by the chunk index claimed off the
-//     cursor, not by worker id, so bucket contents are independent of the
-//     nondeterministic chunk→worker assignment.
-//   - Delivery phase: worker s owns a contiguous shard of receiver vertices
-//     (ranges balanced by degree mass) and drains buckets (c, s) for
-//     ascending chunk index c into its shard's double-buffered inboxes.
-//     Chunks partition the active list in order, and each chunk's bucket is
-//     filled by a single worker stepping its nodes in order, so the inbox
-//     of every receiver is byte-identical to the sequential engine's
-//     ascending-active-order delivery — at any GOMAXPROCS. The same phase
-//     also compacts this worker's segment of the active list (halts are
-//     complete once the step phase ends) and counts delivered messages into
-//     a per-shard counter; the coordinator aggregates the counters into the
-//     ledger and concatenates the compacted segments.
+//   - gathers v's inbox into its scratch buffer by walking v's CSR row: for
+//     every neighbour u it keeps the messages of u's previous-round outbox
+//     that are a Broadcast or address v's port at u (graph.Mirror). Rows are
+//     sorted, so the inbox lists senders in ascending vertex order and each
+//     sender's messages in outbox order — the same at any GOMAXPROCS, and
+//     independent of which worker stepped which sender;
+//   - steps v, validates its outbox's ports, counts its messages (deg per
+//     Broadcast, one per port send) and copies the outbox into its chunk's
+//     arena for the current round parity.
 //
-// Output collection at the end of the run is a third pool phase, chunked
-// over all vertices.
+// Outboxes are double-buffered by round parity: round r writes generation
+// r&1 while its gathers read generation (r-1)&1, so no slot is written and
+// read in the same phase. Between rounds the coordinator compacts the active
+// list and empties the slots halted nodes no longer refresh.
 //
-// Rounds stop using the pool entirely once the active list shrinks to at
-// most batchLimit nodes: the engine fuses every remaining round into inline
-// serial execution on the coordinator (see BatchThreshold and
-// runRoundSerial), bit-identical to the pooled rounds by construction.
+// Once the active list shrinks to at most batchLimit nodes, every remaining
+// round runs inline on the coordinator with worker 0's scratch (see
+// BatchThreshold). Output collection at the end of the run is a second kind
+// of pool phase, chunked over all vertices.
 type engine struct {
-	nw      *Network
 	offsets []int32
 	nbrs    []int32
 	mirror  []int32
 	progs   []Program
 
-	inboxes     [][]Inbound
-	nextInboxes [][]Inbound
-	active      []int32 // non-halted nodes, ascending; compacted each round
-	halts       []bool  // per-node result slot, written during the step phase
+	outs [2][][]Outbound // outs[g][v]: v's outbox from the last round of parity g
+	// arenas[g][c] holds the copies of the outboxes that the nodes of chunk c
+	// (active[c*workerChunk:], up to workerChunk nodes) sent in the last
+	// round of parity g. Arenas belong to chunks, not workers, so together
+	// they hold one message per node whatever the pool size, and which
+	// worker claims a chunk changes nothing that is allocated.
+	arenas [2][][]Outbound
+	active []int32 // non-halted nodes, ascending; compacted each round
+	halts  []bool  // per-node result slot, written during the step phase
+	// halted lists the nodes that halted in the previous round: their final
+	// outboxes are read once more, then their slots are emptied.
+	halted []int32
 
-	workers int
-	round   int
-
-	// Round batching (see BatchThreshold). Once serial is set, rounds run
-	// inline on the coordinator with no pool dispatch; the flag never clears
-	// because the active list never grows. Small serial rounds (active ≤
-	// batchLimit) additionally keep their cost O(active+messages) instead of
-	// O(n) with two-generation dirty-receiver lists: dirtyCur names the
-	// non-empty buffers of the inboxes generation, dirtyNext those of
-	// nextInboxes, and both swap with their buffers. dirtyKnown marks the
-	// invariant "nextInboxes is fully empty, dirty lists accurate" as
-	// established (a one-time O(n) step); big serial rounds — a single-worker
-	// engine early in a run — skip the tracking entirely, since at thousands
-	// of messages per round a blanket clear is cheaper than a per-message
-	// dirty check.
-	serial     bool
-	dirtyKnown bool
+	ws         []worker
+	round      int
+	inline     bool // sticky: the active list never grows back
 	batchLimit int
-	dirtyCur   []int32
-	dirtyNext  []int32
-
-	// buckets[c*workers+s] stages the messages of chunk c addressed to
-	// shard s. Sized for the round-1 chunk count (the active list only
-	// shrinks); each delivery drains and resets the buckets it owns, so
-	// capacity is reused across rounds.
-	buckets   [][]staged
-	numChunks int
-
-	shardOf   []int32 // shardOf[v] = delivery worker owning receiver v
-	shardLo   []int32 // worker s owns vertices [shardLo[s], shardLo[s+1])
-	shardMsgs []int   // per-shard delivered-message counters
-	// shardNs, when non-nil, accumulates per-shard delivery wall time for
-	// the run's RoundTrace (set by RunSync iff tracing is on; pooled path
-	// only — a serial engine has one implicit shard and nothing to
-	// balance). nil keeps the delivery hot path at a single pointer check.
-	shardNs   []int64
-	segBounds []int // active-list compaction segment bounds, workers+1
-	segLen    []int // kept entries per compaction segment
+	timed      bool // record per-worker busy time (tracing on, pooled engine)
 
 	cursor atomic.Int64
+	step   func(worker int) // stepPhase, bound once so rounds allocate nothing
 	phase  func(worker int) // body of the phase currently dispatched
-	// start is per-worker: the delivery phase is keyed by worker identity
-	// (shard w, segment w), so each dispatch must reach each worker exactly
-	// once — a shared channel would let a fast worker steal a slow one's
-	// token and leave that worker's shard undelivered.
+	// start is per-worker so that each dispatch wakes every worker exactly
+	// once; from a shared channel one worker could take two tokens while
+	// another slept through the phase.
 	start []chan struct{}
 	done  chan any // nil or recovered panic value per worker
 	stop  chan struct{}
@@ -355,7 +327,7 @@ func newEngine(nw *Network) *engine {
 	}
 	if n <= batchLimit {
 		// The whole execution is below the fusion threshold: every round will
-		// run serially, so don't spin up pool goroutines at all.
+		// run inline, so don't spin up pool goroutines at all.
 		workers = 1
 	}
 	if workers < 1 {
@@ -363,37 +335,44 @@ func newEngine(nw *Network) *engine {
 	}
 	offsets, nbrs := g.CSR()
 	e := &engine{
-		nw:          nw,
-		offsets:     offsets,
-		nbrs:        nbrs,
-		mirror:      g.Mirror(),
-		progs:       make([]Program, n),
-		inboxes:     make([][]Inbound, n),
-		nextInboxes: make([][]Inbound, n),
-		active:      make([]int32, n),
-		halts:       make([]bool, n),
-		workers:     workers,
-		batchLimit:  batchLimit,
-		shardMsgs:   make([]int, workers),
-		segBounds:   make([]int, workers+1),
-		segLen:      make([]int, workers),
-		start:       make([]chan struct{}, workers),
-		done:        make(chan any, workers),
-		stop:        make(chan struct{}),
+		offsets:    offsets,
+		nbrs:       nbrs,
+		mirror:     g.Mirror(),
+		progs:      make([]Program, n),
+		outs:       [2][][]Outbound{make([][]Outbound, n), make([][]Outbound, n)},
+		active:     make([]int32, n),
+		halts:      make([]bool, n),
+		ws:         make([]worker, workers),
+		inline:     workers == 1,
+		batchLimit: batchLimit,
+		start:      make([]chan struct{}, workers),
+		done:       make(chan any, workers),
+		stop:       make(chan struct{}),
 	}
 	for v := range e.active {
 		e.active[v] = int32(v)
 	}
-	e.numChunks = (n + workerChunk - 1) / workerChunk
+	// Size each chunk's arena for one message per node and each inbox for
+	// one per neighbour, so the common one-broadcast-per-step program never
+	// grows a buffer. Each arena is capped at its own region of one backing
+	// array: an outbox that overflows it moves that chunk's arena elsewhere
+	// instead of spilling into the next chunk's region.
+	for w := range e.ws {
+		e.ws[w].inbox = make([]Inbound, 0, g.MaxDegree())
+	}
+	chunks := (n + workerChunk - 1) / workerChunk
+	for gen := range e.arenas {
+		backing := make([]Outbound, n)
+		e.arenas[gen] = make([][]Outbound, chunks)
+		for c := range e.arenas[gen] {
+			lo := c * workerChunk
+			e.arenas[gen][c] = backing[lo:lo:min(lo+workerChunk, n)]
+		}
+	}
+	e.step = e.stepPhase
 	if workers == 1 {
-		// Serial fast path (see runRoundSerial): no pool, no staging.
-		// Dirty-receiver tracking starts lazily once the active list shrinks
-		// below batchLimit; until then rounds use the blanket clear.
-		e.serial = true
 		return e
 	}
-	e.buckets = make([][]staged, e.numChunks*workers)
-	e.initShards()
 	for w := 0; w < workers; w++ {
 		e.start[w] = make(chan struct{}, 1)
 		go func(w int) {
@@ -412,32 +391,6 @@ func newEngine(nw *Network) *engine {
 
 func (e *engine) close() { close(e.stop) }
 
-// initShards cuts the vertex range into contiguous receiver shards of
-// roughly equal adjacency mass (degree+1 per vertex, so isolated vertices
-// still spread): incoming-message load is proportional to degree under
-// broadcasts, and a static degree-balanced cut keeps hub-heavy graphs from
-// serializing delivery on one worker. Shard boundaries affect load balance
-// only, never outputs — each receiver is owned by exactly one worker.
-func (e *engine) initShards() {
-	n := len(e.progs)
-	e.shardOf = make([]int32, n)
-	e.shardLo = make([]int32, e.workers+1)
-	total := int64(2*e.nw.G.M() + n)
-	cum := int64(0)
-	s := 0
-	for v := 0; v < n; v++ {
-		if s+1 < e.workers && cum >= total*int64(s+1)/int64(e.workers) {
-			s++
-			e.shardLo[s] = int32(v)
-		}
-		e.shardOf[v] = int32(s)
-		cum += int64(e.offsets[v+1]-e.offsets[v]) + 1
-	}
-	for t := s + 1; t <= e.workers; t++ {
-		e.shardLo[t] = int32(n)
-	}
-}
-
 // runWorker executes the dispatched phase, forwarding a recovered panic so
 // Program bugs surface on the coordinating goroutine as they always have.
 func (e *engine) runWorker(w int) (panicked any) {
@@ -447,16 +400,16 @@ func (e *engine) runWorker(w int) (panicked any) {
 }
 
 // runPhase runs f on every pool worker and blocks until all finish. The
-// start/done channel pair orders the coordinator's writes (phase, segment
-// bounds, buffer swaps) before the workers' reads and vice versa.
+// start/done channel pair orders the coordinator's writes (phase, round,
+// active list, slot clears) before the workers' reads and vice versa.
 func (e *engine) runPhase(f func(worker int)) {
 	e.phase = f
 	e.cursor.Store(0)
-	for w := 0; w < e.workers; w++ {
+	for w := range e.ws {
 		e.start[w] <- struct{}{}
 	}
 	var panicked any
-	for w := 0; w < e.workers; w++ {
+	for range e.ws {
 		if p := <-e.done; p != nil {
 			panicked = p
 		}
@@ -466,268 +419,117 @@ func (e *engine) runPhase(f func(worker int)) {
 	}
 }
 
-// runRound executes one synchronous round: step phase, then the combined
-// delivery+compaction phase, then the inbox generation swap and active-list
-// concatenation on the coordinator. Rounds whose active list has shrunk to at
-// most batchLimit nodes fuse into the serial path instead — permanently,
-// since the active list never grows — so a long low-traffic tail costs zero
-// pool wake-ups (see BatchThreshold).
+// runRound executes one synchronous round — on the pool, or inline once the
+// active list fits under batchLimit — then compacts the active list.
 func (e *engine) runRound() {
-	if e.serial || len(e.active) <= e.batchLimit {
-		e.enterSerial()
-		e.runRoundSerial()
-		return
+	if !e.inline && len(e.active) <= e.batchLimit {
+		e.inline = true
 	}
-	e.numChunks = (len(e.active) + workerChunk - 1) / workerChunk
-	e.runPhase(e.stepPhase)
-	e.prepareSegments()
-	e.runPhase(e.deliverPhase)
-	// Swap inbox generations: last round's receive buffers become this
-	// round's (cleared) send buffers, reusing their backing arrays.
-	e.inboxes, e.nextInboxes = e.nextInboxes, e.inboxes
-	// Concatenate the per-segment compactions. Each segment was compacted
-	// in place, so the copy destination never overtakes its source.
-	kept := e.active[:0]
-	for w := 0; w < e.workers; w++ {
-		lo := e.segBounds[w]
-		kept = append(kept, e.active[lo:lo+e.segLen[w]]...)
+	if e.inline {
+		for c := 0; c*workerChunk < len(e.active); c++ {
+			e.stepChunk(&e.ws[0], c)
+		}
+	} else {
+		e.runPhase(e.step)
 	}
-	e.active = kept
-}
-
-// stepPhase claims chunks of the active list and steps their nodes, staging
-// every outgoing message into this chunk's buckets.
-func (e *engine) stepPhase(int) {
-	for {
-		lo := e.cursor.Add(workerChunk) - workerChunk
-		if lo >= int64(len(e.active)) {
-			return
-		}
-		hi := lo + workerChunk
-		if hi > int64(len(e.active)) {
-			hi = int64(len(e.active))
-		}
-		base := int(lo/workerChunk) * e.workers
-		for _, v32 := range e.active[lo:hi] {
-			v := int(v32)
-			out, halt := e.progs[v].Step(e.round, e.inboxes[v])
-			e.halts[v] = halt
-			if len(out) > 0 {
-				e.stage(base, v, out)
-			}
-		}
+	// The generation the next round writes holds this round's inputs, now
+	// consumed. Nodes that will not write it again must not leave stale
+	// outboxes there: last round's halters (whose final outboxes were just
+	// gathered) and this round's (whose previous outboxes were).
+	next := e.outs[(e.round+1)&1]
+	for _, v := range e.halted {
+		next[v] = nil
 	}
-}
-
-// stage routes one node's outbox into the staging buckets of its chunk
-// (bucket index base+shard). A Broadcast on a degree-0 vertex stages — and
-// counts — nothing; any other out-of-range port is a Program bug and
-// panics, including ports on degree-0 vertices where no send is valid.
-func (e *engine) stage(base, v int, out []Outbound) {
-	lo, hi := e.offsets[v], e.offsets[v+1]
-	deg := int(hi - lo)
-	for _, o := range out {
-		if o.Port == Broadcast {
-			for i := lo; i < hi; i++ {
-				w := e.nbrs[i]
-				b := base + int(e.shardOf[w])
-				e.buckets[b] = append(e.buckets[b], staged{to: w, port: e.mirror[i], msg: o.Msg})
-			}
-			continue
-		}
-		if o.Port < 0 || o.Port >= deg {
-			panic(fmt.Sprintf("local: node %d (degree %d) sent to invalid port %d", v, deg, o.Port))
-		}
-		i := lo + int32(o.Port)
-		w := e.nbrs[i]
-		b := base + int(e.shardOf[w])
-		e.buckets[b] = append(e.buckets[b], staged{to: w, port: e.mirror[i], msg: o.Msg})
-	}
-}
-
-// enterSerial switches a pooled engine into fused serial execution. The
-// parked pool workers are never dispatched again and are torn down by close
-// as usual. Buffer hygiene is runRoundSerial's job: its transition into
-// dirty tracking re-establishes the round invariant regardless of what state
-// the pooled rounds left the write generation in.
-func (e *engine) enterSerial() {
-	if e.serial {
-		return
-	}
-	e.serial = true
-	// Per-shard counters from the last pooled round are stale; the serial
-	// path only ever writes slot 0.
-	clear(e.shardMsgs)
-}
-
-// runRoundSerial runs one round inline on the coordinator: no staging hop,
-// no pool dispatch. Stepping the active list in ascending order makes the
-// direct delivery order byte-for-byte the order the sharded path reproduces
-// (the cross-GOMAXPROCS and batching tests hold the two paths against each
-// other).
-//
-// Receive-buffer hygiene comes in two regimes. Big serial rounds — a
-// single-worker engine whose active list still spans the graph — blanket-
-// clear the write generation up front: at thousands of messages a round,
-// one sequential O(n) sweep is cheaper than a per-message dirty check. Once
-// the active list fits under batchLimit the round flips permanently to
-// two-generation dirty-receiver tracking (the active list never grows), and
-// from then on each fused round touches only dirty buffers, costing
-// O(active + messages) instead of O(n).
-func (e *engine) runRoundSerial() {
-	track := e.dirtyKnown
-	if !track && e.batchLimit > 0 && len(e.active) <= e.batchLimit {
-		// One-time transition into the fused low-traffic tail: establish the
-		// invariant "nextInboxes fully empty, dirtyNext empty, dirtyCur names
-		// exactly the non-empty inboxes buffers". This is the tail's single
-		// O(n) step.
-		for v := range e.nextInboxes {
-			e.nextInboxes[v] = e.nextInboxes[v][:0]
-		}
-		e.dirtyNext = e.dirtyNext[:0]
-		e.dirtyCur = e.dirtyCur[:0]
-		for v := range e.inboxes {
-			if len(e.inboxes[v]) > 0 {
-				e.dirtyCur = append(e.dirtyCur, int32(v))
-			}
-		}
-		e.dirtyKnown = true
-		track = true
-	} else if !track {
-		// High-traffic serial round: last round's consumed receive buffers
-		// become this round's write generation via a wholesale clear.
-		for v := range e.nextInboxes {
-			e.nextInboxes[v] = e.nextInboxes[v][:0]
-		}
-	}
-	count := 0
-	for _, v32 := range e.active {
-		v := int(v32)
-		out, halt := e.progs[v].Step(e.round, e.inboxes[v])
-		e.halts[v] = halt
-		count += e.deliverDirect(v, out, track)
-	}
-	e.shardMsgs[0] = count
-	if track {
-		// Drain the read generation (its messages are consumed) so it
-		// re-enters service as an all-empty write generation, then swap
-		// buffers and dirty lists together — re-establishing the invariant
-		// for the next round.
-		for _, v := range e.dirtyCur {
-			e.inboxes[v] = e.inboxes[v][:0]
-		}
-		e.dirtyCur = e.dirtyCur[:0]
-		e.dirtyCur, e.dirtyNext = e.dirtyNext, e.dirtyCur
-	}
-	e.inboxes, e.nextInboxes = e.nextInboxes, e.inboxes
+	e.halted = e.halted[:0]
 	kept := e.active[:0]
 	for _, v := range e.active {
-		if !e.halts[v] {
+		if e.halts[v] {
+			next[v] = nil
+			e.halted = append(e.halted, v)
+		} else {
 			kept = append(kept, v)
 		}
 	}
 	e.active = kept
 }
 
-// deliverDirect routes one node's outbox straight into the receive buffers
-// (serial path only), returning the number of messages delivered. Port
-// semantics match stage exactly. With track set, each receiver joins the
-// round's dirty list on its first message — what lets the fused tail clear
-// only touched buffers; big serial rounds pass track=false and rely on the
-// blanket clear instead.
-func (e *engine) deliverDirect(v int, out []Outbound, track bool) int {
-	lo, hi := e.offsets[v], e.offsets[v+1]
-	deg := int(hi - lo)
-	count := 0
-	for _, o := range out {
-		if o.Port == Broadcast {
-			for i := lo; i < hi; i++ {
-				w := e.nbrs[i]
-				if track && len(e.nextInboxes[w]) == 0 {
-					e.dirtyNext = append(e.dirtyNext, w)
-				}
-				e.nextInboxes[w] = append(e.nextInboxes[w], Inbound{Port: int(e.mirror[i]), Msg: o.Msg})
-			}
-			count += deg
-			continue
-		}
-		if o.Port < 0 || o.Port >= deg {
-			panic(fmt.Sprintf("local: node %d (degree %d) sent to invalid port %d", v, deg, o.Port))
-		}
-		i := lo + int32(o.Port)
-		w := e.nbrs[i]
-		if track && len(e.nextInboxes[w]) == 0 {
-			e.dirtyNext = append(e.dirtyNext, w)
-		}
-		e.nextInboxes[w] = append(e.nextInboxes[w], Inbound{Port: int(e.mirror[i]), Msg: o.Msg})
-		count++
-	}
-	return count
-}
-
-// prepareSegments splits the active list into one contiguous compaction
-// segment per worker for the delivery phase.
-func (e *engine) prepareSegments() {
-	n := len(e.active)
-	per := (n + e.workers - 1) / e.workers
-	for s := 0; s <= e.workers; s++ {
-		b := s * per
-		if b > n {
-			b = n
-		}
-		e.segBounds[s] = b
-	}
-}
-
-// deliverPhase is worker w's half of the delivery round: drain the staged
-// buckets addressed to its receiver shard in ascending chunk order, then
-// compact its segment of the active list in place.
-func (e *engine) deliverPhase(w int) {
+// stepPhase is worker w's share of a pooled round: claim chunks of the
+// active list and step their nodes.
+func (e *engine) stepPhase(w int) {
+	wk := &e.ws[w]
 	var t0 time.Time
-	if e.shardNs != nil {
+	if e.timed {
 		t0 = time.Now()
 	}
-	// All of this shard's receive buffers are cleared — halted nodes still
-	// receive deliveries (never read, as before), and clearing keeps those
-	// bounded to one round's worth instead of accumulating for the run.
-	for v := e.shardLo[w]; v < e.shardLo[w+1]; v++ {
-		e.nextInboxes[v] = e.nextInboxes[v][:0]
-	}
-	count := 0
-	for c := 0; c < e.numChunks; c++ {
-		idx := c*e.workers + w
-		b := e.buckets[idx]
-		for i := range b {
-			e.nextInboxes[b[i].to] = append(e.nextInboxes[b[i].to], Inbound{Port: int(b[i].port), Msg: b[i].msg})
+	for {
+		c := int(e.cursor.Add(1) - 1)
+		if c*workerChunk >= len(e.active) {
+			break
 		}
-		count += len(b)
-		clear(b) // drop message references; keep capacity for the next round
-		e.buckets[idx] = b[:0]
+		e.stepChunk(wk, c)
 	}
-	e.shardMsgs[w] = count
-
-	lo, hi := e.segBounds[w], e.segBounds[w+1]
-	seg := e.active[lo:hi]
-	k := 0
-	for _, v := range seg {
-		if !e.halts[v] {
-			seg[k] = v
-			k++
-		}
-	}
-	e.segLen[w] = k
-	if e.shardNs != nil {
-		e.shardNs[w] += time.Since(t0).Nanoseconds()
+	if e.timed {
+		wk.busyNs += time.Since(t0).Nanoseconds()
 	}
 }
 
-// roundMessages aggregates the per-shard delivery counters into the round's
-// total. The sum is independent of sharding: every staged message is
-// counted exactly once.
+// stepChunk gathers, steps and records the outbox of each node of chunk c,
+// using worker wk's inbox scratch and the chunk's arena. Pooled and inline
+// rounds both run it. A Broadcast on a degree-0 vertex counts nothing; any
+// other out-of-range port is a Program bug and panics, including ports on
+// degree-0 vertices where no send is valid.
+func (e *engine) stepChunk(wk *worker, c int) {
+	gen := e.round & 1
+	cur, prev := e.outs[gen], e.outs[gen^1]
+	arena := e.arenas[gen][c][:0]
+	first := c * workerChunk
+	vs := e.active[first:min(first+workerChunk, len(e.active))]
+	count := 0
+	for _, v32 := range vs {
+		v := int(v32)
+		lo, hi := e.offsets[v], e.offsets[v+1]
+		inbox := wk.inbox[:0]
+		for i := lo; i < hi; i++ {
+			for _, o := range prev[e.nbrs[i]] {
+				if o.Port == Broadcast || o.Port == int(e.mirror[i]) {
+					inbox = append(inbox, Inbound{Port: int(i - lo), Msg: o.Msg})
+				}
+			}
+		}
+		wk.inbox = inbox
+		out, halt := e.progs[v].Step(e.round, inbox)
+		e.halts[v] = halt
+		if len(out) == 0 {
+			cur[v] = nil
+			continue
+		}
+		// Copy the outbox: the program may reuse its slice next round, while
+		// the neighbours gather from this copy.
+		deg := int(hi - lo)
+		start := len(arena)
+		for _, o := range out {
+			if o.Port == Broadcast {
+				count += deg
+			} else if o.Port < 0 || o.Port >= deg {
+				panic(fmt.Sprintf("local: node %d (degree %d) sent to invalid port %d", v, deg, o.Port))
+			} else {
+				count++
+			}
+			arena = append(arena, o)
+		}
+		cur[v] = arena[start:len(arena):len(arena)]
+	}
+	e.arenas[gen][c] = arena
+	wk.msgs += count
+}
+
+// roundMessages drains the per-worker send counters into the round's total.
+// The sum is independent of which worker stepped which node.
 func (e *engine) roundMessages() int {
 	total := 0
-	for _, c := range e.shardMsgs {
-		total += c
+	for w := range e.ws {
+		total += e.ws[w].msgs
+		e.ws[w].msgs = 0
 	}
 	return total
 }
@@ -738,7 +540,7 @@ func (e *engine) roundMessages() int {
 func (e *engine) outputs() []any {
 	n := len(e.progs)
 	out := make([]any, n)
-	if e.workers == 1 {
+	if len(e.ws) == 1 {
 		for v := 0; v < n; v++ {
 			out[v] = e.progs[v].Output()
 		}
@@ -766,17 +568,23 @@ func (e *engine) outputs() []any {
 // maxRounds elapses, an error). It returns each node's Output and charges
 // the ledger under the given phase name.
 //
-// Execution engine: a two-phase sharded message plane over a bounded pool
-// of min(GOMAXPROCS, n) long-lived workers (see engine). Node steps,
-// message routing, message delivery, halt compaction and output collection
-// all run on the pool; the coordinator only sequences phases, so the round
-// pipeline is fully parallel. Executions are deterministic for
-// deterministic programs at any GOMAXPROCS: staging buckets are keyed by
-// the position of a node's chunk in the active list and drained in that
-// order, reproducing the sequential engine's ascending-vertex delivery
-// byte for byte. Receiver-side ports are resolved through the graph's
-// precomputed CSR mirror array (graph.Mirror), not a per-message binary
-// search.
+// Execution engine: a pull-based message plane over a bounded pool of
+// min(GOMAXPROCS, n) long-lived workers (see engine). Each round is one pool
+// phase in which every active node gathers its inbox from its neighbours'
+// previous-round outboxes, walking its sorted CSR row, and then steps. The
+// gather reads only the previous round's outbox copies, so no two workers
+// ever write the same buffer, and the inbox order — ascending sender vertex,
+// then the sender's outbox order, tagged with receiver-side ports from the
+// graph's CSR mirror array (graph.Mirror) — is a pure function of the
+// graph: executions are deterministic for deterministic programs at any
+// GOMAXPROCS. A gather costs, per neighbour, the length of that neighbour's
+// outbox; the engine is built for broadcast-style programs, and a node that
+// sends many port messages makes every neighbour scan all of them.
+//
+// Messages are counted when sent: a Broadcast counts once per neighbour, a
+// port send once, including messages to neighbours that have halted (which
+// never gather them). A node's inbox slice is only valid during its Step;
+// the outbox slice it returns is copied, so a program may reuse it.
 //
 // Factory and Init run on the calling goroutine. Step and Output run on
 // pool workers — at most one per node at a time, so a Program needs no
@@ -812,9 +620,7 @@ func RunSync(ctx context.Context, nw *Network, ledger *Ledger, phase string, max
 	if ledger != nil {
 		trace = ledger.Trace
 	}
-	if trace != nil && !e.serial {
-		e.shardNs = make([]int64, e.workers)
-	}
+	e.timed = trace != nil && !e.inline
 	for v := 0; v < n; v++ {
 		e.progs[v] = factory(v)
 		e.progs[v].Init(NodeInfo{V: v, ID: nw.ID[v], Degree: nw.G.Degree(v), N: n})
@@ -830,16 +636,20 @@ func RunSync(ctx context.Context, nw *Network, ledger *Ledger, phase string, max
 		active := len(e.active)
 		rounds++
 		e.runRound()
+		msgs := e.roundMessages()
 		if ledger != nil {
-			msgs := e.roundMessages()
 			ledger.recordRoundMessages(msgs)
 			if trace != nil {
 				trace.engineRound(phase, active, msgs)
 			}
 		}
 	}
-	if trace != nil && e.shardNs != nil {
-		trace.shardDelivery(phase, e.shardNs)
+	if e.timed {
+		busy := make([]int64, len(e.ws))
+		for w := range e.ws {
+			busy[w] = e.ws[w].busyNs
+		}
+		trace.shardDelivery(phase, busy)
 	}
 	if ledger != nil {
 		charge := rounds - 1

@@ -13,20 +13,20 @@ import (
 const traceSampleCap = 512
 
 // RoundSample is one retained engine round inside a phase: the active-list
-// size going into the round and the messages delivered by it.
+// size going into the round and the messages sent in it.
 type RoundSample struct {
 	// Round is the 1-based engine round index within the phase.
 	Round int `json:"round"`
 	// Active is the number of non-halted nodes stepping this round.
 	Active int `json:"active"`
-	// Messages is the number of point-to-point messages delivered.
+	// Messages is the number of point-to-point messages sent.
 	Messages int `json:"messages"`
 }
 
 // tracePhase accumulates one phase name's trace: rounds come exclusively
 // from ledger charges (so totals match Ledger.ByPhase exactly); engine
-// rounds, messages, samples and shard timings come from the message-passing
-// engine and are informational.
+// rounds, messages, samples and per-worker timings come from the
+// message-passing engine and are informational.
 type tracePhase struct {
 	name         string
 	rounds       int
@@ -48,7 +48,7 @@ type tracePhase struct {
 // RoundTrace records the execution profile of one run: per-phase round
 // totals fed by every Ledger.Charge, plus — for phases driven by the
 // message-passing engine — per-round message counts and active-list sizes
-// and per-shard delivery timings. Attach one to a Ledger (Ledger.Trace)
+// and per-worker busy time. Attach one to a Ledger (Ledger.Trace)
 // before the run; the zero value is ready to use.
 //
 // A RoundTrace is owned by the goroutine executing the run (the same one
@@ -104,7 +104,7 @@ func (t *RoundTrace) charge(phase string, rounds int) {
 }
 
 // engineRound records one executed engine round: active nodes going in,
-// messages delivered coming out. Sampling is strided once the phase
+// messages sent by it. Sampling is strided once the phase
 // outgrows traceSampleCap (see the constant).
 func (t *RoundTrace) engineRound(phase string, active, messages int) {
 	p := t.phase(phase)
@@ -131,9 +131,9 @@ func (t *RoundTrace) engineRound(phase string, active, messages int) {
 	p.samples = append(p.samples, RoundSample{Round: p.engineRounds, Active: active, Messages: messages})
 }
 
-// shardDelivery folds one engine execution's per-shard delivery-time totals
-// (nanoseconds, index = shard) into the phase. Phases executed by engines
-// of different worker counts accumulate into the longest shard vector.
+// shardDelivery folds one engine execution's per-worker busy-time totals
+// (nanoseconds, index = worker) into the phase. Phases executed by engines
+// of different worker counts accumulate into the longest vector.
 func (t *RoundTrace) shardDelivery(phase string, ns []int64) {
 	p := t.phase(phase)
 	if len(ns) > len(p.shardNs) {
@@ -154,13 +154,16 @@ func (t *RoundTrace) Rounds() int { return t.rounds }
 // Ledger.Messages when a single ledger feeds the trace).
 func (t *RoundTrace) Messages() int { return t.msgs }
 
-// ShardTrace is one delivery shard's accumulated timing within a phase.
+// ShardTrace is one engine worker's accumulated timing within a phase. Its
+// names are part of the trace's JSON schema: an entry is a pool worker, not
+// a receiver shard — the engine has none.
 type ShardTrace struct {
-	// Shard is the delivery worker index.
+	// Shard is the pool worker index.
 	Shard int `json:"shard"`
-	// DeliverNs is total wall-clock nanoseconds this shard spent in
-	// delivery phases. Timings are measured, not simulated: they vary
-	// run-to-run even though everything else in a trace is deterministic.
+	// DeliverNs is the total wall-clock nanoseconds this worker was busy in
+	// pooled rounds: gathering inboxes, stepping nodes and copying their
+	// outboxes. Timings are measured, not simulated: they vary run-to-run
+	// even though everything else in a trace is deterministic.
 	DeliverNs int64 `json:"deliver_ns"`
 }
 
@@ -176,7 +179,7 @@ type PhaseTrace struct {
 	// execution charges S−1 LOCAL rounds, so EngineRounds can exceed
 	// Rounds by one per execution.
 	EngineRounds int `json:"engine_rounds,omitempty"`
-	// Messages is the total messages delivered under this phase.
+	// Messages is the total messages sent under this phase.
 	Messages int `json:"messages,omitempty"`
 	// MaxActive is the largest active-list size observed.
 	MaxActive int `json:"max_active,omitempty"`
@@ -185,11 +188,11 @@ type PhaseTrace struct {
 	SampleStride int `json:"sample_stride,omitempty"`
 	// Samples holds the retained per-round records.
 	Samples []RoundSample `json:"samples,omitempty"`
-	// Shards holds per-shard delivery timings (pooled executions only; the
-	// serial engine path has a single implicit shard and records none).
+	// Shards holds per-worker busy time (multi-worker executions only; a
+	// single-worker engine has nothing to balance and records none).
 	Shards []ShardTrace `json:"shards,omitempty"`
 	// StartUnixNs/EndUnixNs bound the phase's wall-clock activity and
-	// WallNs sums the charge intervals attributed to it. Like shard
+	// WallNs sums the charge intervals attributed to it. Like worker
 	// timings these are measured, not simulated: informational riders that
 	// vary run-to-run while everything else stays deterministic. Present
 	// only when the trace's clock was started (RoundTrace.Begin).
@@ -207,10 +210,10 @@ type TraceReport struct {
 	Rounds int `json:"rounds"`
 	// Messages is the run's total engine messages (== Coloring.Messages).
 	Messages int `json:"messages"`
-	// ShardImbalance is max/mean of per-shard delivery time across all
-	// phases, ≥ 1 when timings were recorded and 0 otherwise. A value near
-	// 1 means the degree-balanced static shard cut is holding up; large
-	// values are the signal the ROADMAP's NUMA-pinning item needs.
+	// ShardImbalance is max/mean of per-worker busy time (ShardTrace
+	// DeliverNs) across all phases, ≥ 1 when timings were recorded and 0
+	// otherwise. A value near 1 means chunk claiming keeps the pool evenly
+	// loaded; a large one means some workers sat idle at round barriers.
 	ShardImbalance float64 `json:"shard_imbalance,omitempty"`
 	// Phases is the per-phase breakdown, ordered like Ledger.ByPhase
 	// (descending rounds, then name).
@@ -258,8 +261,8 @@ func (t *RoundTrace) Report(algorithm string) *TraceReport {
 		}
 		return rep.Phases[i].Phase < rep.Phases[j].Phase
 	})
-	// Shard imbalance across the whole run: fold every phase's per-shard
-	// totals into one vector keyed by shard index.
+	// Worker imbalance across the whole run: fold every phase's per-worker
+	// totals into one vector keyed by worker index.
 	var byShard []int64
 	for _, p := range t.phases {
 		for s, ns := range p.shardNs {

@@ -292,9 +292,11 @@ func escapeLabel(v string) string {
 }
 
 // lookup finds or creates the (name, labels) series, checking kind
-// consistency. A name registered under two different kinds is a wiring bug
-// and panics.
-func (r *Registry) lookup(name, help string, kind metricKind, labels Labels) *series {
+// consistency, and runs set on it inside the same critical section: handles
+// are created and swapped only under the lock, which is what a scrape's
+// snapshot relies on. A name registered under two different kinds is a
+// wiring bug and panics.
+func (r *Registry) lookup(name, help string, kind metricKind, labels Labels, set func(*series)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -305,41 +307,50 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels Labels) *se
 		panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, f.kind, kind))
 	}
 	key := renderLabels(labels)
-	if s := f.byKey[key]; s != nil {
-		return s
+	s := f.byKey[key]
+	if s == nil {
+		s = &series{labels: key}
+		f.byKey[key] = s
+		f.series = append(f.series, s)
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 	}
-	s := &series{labels: key}
-	f.byKey[key] = s
-	f.series = append(f.series, s)
-	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
-	return s
+	set(s)
 }
 
 // Counter registers (or finds) a counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	var c *Counter
+	r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+		c = s.counter
+	})
+	return c
 }
 
 // Gauge registers (or finds) an integer gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.gauge == nil && s.gfunc == nil && s.fgauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	var g *Gauge
+	r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.gauge == nil && s.gfunc == nil && s.fgauge == nil {
+			s.gauge = &Gauge{}
+		}
+		g = s.gauge
+	})
+	return g
 }
 
 // FloatGauge registers (or finds) a float gauge series.
 func (r *Registry) FloatGauge(name, help string, labels Labels) *FloatGauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.fgauge == nil && s.gauge == nil && s.gfunc == nil {
-		s.fgauge = &FloatGauge{}
-	}
-	return s.fgauge
+	var g *FloatGauge
+	r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.fgauge == nil && s.gauge == nil && s.gfunc == nil {
+			s.fgauge = &FloatGauge{}
+		}
+		g = s.fgauge
+	})
+	return g
 }
 
 // CounterFunc registers a counter series whose value is read at scrape time
@@ -347,8 +358,7 @@ func (r *Registry) FloatGauge(name, help string, labels Labels) *FloatGauge {
 // cache already tracks, say). fn must be safe to call concurrently and must
 // never decrease.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, kindCounter, labels)
-	s.gfunc = fn
+	r.lookup(name, help, kindCounter, labels, func(s *series) { s.gfunc = fn })
 }
 
 // GaugeFunc registers a gauge series whose value is computed at scrape time
@@ -356,17 +366,19 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 // weight) where mirroring into a stored gauge would just invite skew. fn
 // must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, kindGauge, labels)
-	s.gfunc = fn
+	r.lookup(name, help, kindGauge, labels, func(s *series) { s.gfunc = fn })
 }
 
 // Histogram registers (or finds) a histogram series.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = &Histogram{}
-	}
-	return s.hist
+	var h *Histogram
+	r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = &Histogram{}
+		}
+		h = s.hist
+	})
+	return h
 }
 
 // formatValue renders a float without exponent surprises for integral
@@ -379,30 +391,60 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every family in text exposition format, families
-// sorted by name and series by label signature, so output is deterministic
-// for a given registry state.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// snapshot copies, under the lock, every family (sorted by name) with its
+// series (sorted by label signature). A scrape walks the copy, so a
+// concurrent registration can neither re-sort a slice mid-walk nor swap a
+// handle under it; the handles' values are atomics, read after the lock is
+// released.
+func (r *Registry) snapshot() []family {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	fams := make([]family, len(names))
 	for i, name := range names {
-		fams[i] = r.families[name]
+		f := r.families[name]
+		fams[i] = family{name: f.name, help: f.help, kind: f.kind, series: make([]*series, len(f.series))}
+		for j, s := range f.series {
+			cp := *s
+			fams[i].series[j] = &cp
+		}
 	}
-	r.mu.Unlock()
+	return fams
+}
 
+// WritePrometheus renders every family in text exposition format, families
+// sorted by name and series by label signature, so output is deterministic
+// for a given registry state.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.write(w, false)
+}
+
+// WriteOpenMetrics renders every family in the OpenMetrics text format
+// (application/openmetrics-text): same families and values as
+// WritePrometheus, plus histogram-bucket exemplars linking buckets to
+// trace IDs, counter metadata with the `_total` suffix stripped per the
+// OpenMetrics naming rules, and the mandatory `# EOF` terminator.
+func (r *Registry) WriteOpenMetrics(w io.Writer) error {
+	return r.write(w, true)
+}
+
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	var b strings.Builder
-	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+	for _, f := range r.snapshot() {
+		meta := f.name
+		if openMetrics && f.kind == kindCounter {
+			meta = strings.TrimSuffix(meta, "_total")
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n", meta, f.help)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", meta, f.kind)
 		for _, s := range f.series {
 			switch {
 			case s.hist != nil:
-				writeHistogram(&b, f.name, s, false)
+				writeHistogram(&b, f.name, s, openMetrics)
 			case s.gfunc != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gfunc()))
 			case s.fgauge != nil:
@@ -413,6 +455,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
 			}
 		}
+	}
+	if openMetrics {
+		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -443,52 +488,6 @@ func writeHistogram(b *strings.Builder, name string, s *series, exemplars bool) 
 	}
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, s.labels, formatValue(s.hist.Sum()))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, s.labels, s.hist.Count())
-}
-
-// WriteOpenMetrics renders every family in the OpenMetrics text format
-// (application/openmetrics-text): same families and values as
-// WritePrometheus, plus histogram-bucket exemplars linking buckets to
-// trace IDs, counter metadata with the `_total` suffix stripped per the
-// OpenMetrics naming rules, and the mandatory `# EOF` terminator.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
-	var b strings.Builder
-	for _, f := range fams {
-		meta := f.name
-		if f.kind == kindCounter {
-			meta = strings.TrimSuffix(meta, "_total")
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n", meta, f.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", meta, f.kind)
-		for _, s := range f.series {
-			switch {
-			case s.hist != nil:
-				writeHistogram(&b, f.name, s, true)
-			case s.gfunc != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gfunc()))
-			case s.fgauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.fgauge.Value()))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			}
-		}
-	}
-	b.WriteString("# EOF\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // histLabels splices the le label into an existing rendered label set.

@@ -207,3 +207,54 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("histogram sum = %g, want %g", h.Sum(), float64(workers*per)*1e-3)
 	}
 }
+
+// TestRegisterWhileScraping registers new series of existing families —
+// which appends to and re-sorts their series lists and creates handles —
+// while other goroutines scrape in both formats. Under -race it proves a
+// scrape only walks what it copied under the registry lock.
+func TestRegisterWhileScraping(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				l := Labels{"k": strings.Repeat("x", (w*200+i)%17) + string(rune('a'+w))}
+				r.Counter("c_total", "c", Labels{"i": l["k"], "n": string(rune('a' + i%26))}).Inc()
+				r.Gauge("g", "g", l).Set(int64(i))
+				r.FloatGauge("f", "f", l).Set(float64(i))
+				r.Histogram("h", "h", l).Observe(float64(i))
+				r.GaugeFunc("gf", "gf", l, func() float64 { return 1 })
+			}
+		}(w)
+	}
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			var b strings.Builder
+			for i := 0; i < 50; i++ {
+				b.Reset()
+				var err error
+				if s == 0 {
+					err = r.WritePrometheus(&b)
+				} else {
+					err = r.WriteOpenMetrics(&b)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "# TYPE h histogram") {
+		t.Fatalf("final scrape lacks the histogram family:\n%.400s", b.String())
+	}
+}

@@ -153,23 +153,24 @@ func (j *Job) tryStart() bool {
 	return true
 }
 
-// markCancelledIfQueued atomically transitions queued → cancelled, closing
-// done. It reports whether it performed the transition (false when the job
-// already started or finished).
+// markCancelledIfQueued atomically transitions queued → cancelled. It
+// reports whether it performed the transition (false when the job already
+// started or finished); on true the caller accounts the job and then calls
+// release.
 func (j *Job) markCancelledIfQueued() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status != StatusQueued {
-		j.mu.Unlock()
 		return false
 	}
 	j.status = StatusCancelled
 	j.errMsg = context.Canceled.Error()
 	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
+// finish records a run's outcome. Waiters are not released yet: the caller
+// accounts the job and then calls release.
 func (j *Job) finish(res *runcfg.Result, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -192,8 +193,14 @@ func (j *Job) finish(res *runcfg.Result, err error) {
 	// graph store's memory bound under varied-graph traffic.
 	j.g = nil
 	j.mu.Unlock()
+}
+
+// release wakes the job's waiters and frees its context's resources (timeout
+// timers in particular). It runs once per job, after the job was counted by
+// JobRegistry.markTerminal and Server.recordTerminal, so a client released
+// by Done always finds its job in /v1/stats.
+func (j *Job) release() {
 	close(j.done)
-	// Release the context's resources (timeout timers in particular).
 	j.cancel()
 }
 

@@ -17,9 +17,8 @@ type serveMetrics struct {
 
 	// engineRounds/engineMessages accumulate every executed job's LOCAL
 	// round and message totals, partial (cancelled/deadline-aborted) runs
-	// included. shardImbalance is max/mean per-shard delivery time of the
-	// most recent traced parallel run — the load-skew signal ROADMAP's
-	// NUMA-pinning item needs as input.
+	// included. shardImbalance is max/mean per-worker busy time of the most
+	// recent traced parallel run — the engine pool's load-skew signal.
 	engineRounds   *obs.Counter
 	engineMessages *obs.Counter
 	shardImbalance *obs.FloatGauge
@@ -56,7 +55,7 @@ func newServeMetrics() *serveMetrics {
 		engineMessages: reg.Counter("distcolor_engine_messages_total",
 			"Point-to-point messages delivered across all jobs.", nil),
 		shardImbalance: reg.FloatGauge("distcolor_engine_shard_imbalance",
-			"Max-over-mean per-shard delivery time of the last traced parallel run (1 = balanced).", nil),
+			"Max-over-mean per-worker busy time of the last traced parallel run (1 = balanced).", nil),
 		queueWait: reg.Histogram("distcolor_job_queue_wait_seconds",
 			"Job wait between queue admission and run start.", nil),
 		httpReqs: map[string]*obs.Counter{},

@@ -402,7 +402,7 @@ func (s *Server) execute(j *Job) {
 		err = fmt.Errorf("job deadline %s exceeded: %w", s.opts.JobTimeout, err)
 	}
 	if tr != nil {
-		// Attach the trace before finish closes done: a waiter released by
+		// Attach the trace before release closes done: a waiter released by
 		// Done can fetch /v1/jobs/{id}/trace immediately. Aborted runs keep
 		// their partial trace — the rounds were executed and paid for.
 		rep := tr.Report(j.Cfg.Algo)
@@ -433,6 +433,7 @@ func (s *Server) execute(j *Job) {
 	j.finish(res, err)
 	s.jobs.markTerminal(j)
 	s.recordTerminal(j)
+	j.release()
 	v := j.Snapshot()
 	s.log.Info("job finished", "req", j.ReqID, "trace", j.TraceID, "job", j.ID,
 		"status", string(v.Status), "err", v.Err,
@@ -1010,6 +1011,7 @@ func (s *Server) cancelJob(j *Job) {
 		s.sched.Remove(j)
 		s.jobs.markTerminal(j)
 		s.recordTerminal(j)
+		j.release()
 		s.log.Info("job cancelled while queued", "req", j.ReqID, "job", j.ID)
 	}
 }
@@ -1282,7 +1284,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace is GET /v1/jobs/{id}/trace: the per-round execution trace of
 // a finished job — per-phase round, message and active-list series plus
-// per-shard delivery timings — in the same TraceReport JSON schema the CLI
+// per-worker busy time — in the same TraceReport JSON schema the CLI
 // -trace flag writes. Queued or running jobs are 409 (the trace is built
 // when the run ends); terminal jobs without a trace (cancelled before
 // start, or run with observation off) are also 409.

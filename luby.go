@@ -3,8 +3,8 @@ package distcolor
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 
-	"distcolor/internal/graph"
 	"distcolor/internal/local"
 )
 
@@ -24,22 +24,36 @@ import (
 // exists, and every uncolored node finalizes with constant probability per
 // round, so the run completes in O(log n) rounds with high probability.
 type lubyProgram struct {
-	// palette holds the colors of {0..Δ} not yet taken by finalized
-	// neighbors. The slice version kept its colors in ascending order and
-	// drew palette[rng.IntN(len)], i.e. the k-th remaining color in
-	// ascending order — which is exactly Bitset.SelectSet(k), so the bitset
-	// reproduces the draw sequence bit for bit while removal becomes one
-	// word op instead of a slice scan+copy.
-	palette   *graph.Bitset
-	remaining int
-	rng       *rand.Rand
-	color     int
-	cand      int
+	// The palette is {0..delta} minus taken, the ascending list of colors
+	// finalized neighbors took. taken holds at most deg(v) colors: it is a
+	// capacity-deg(v) window of one run-wide array of length 2m, so a
+	// node's palette costs O(deg) however large Δ is.
+	taken []int32
+	delta int
+	rng   rand.Rand
+	pcg   rand.PCG
+	color int
+	cand  int
+	sends []local.Outbound // the run's shared outboxes, see lubySends
 }
 
 type lubyMsg struct {
 	candidate int
 	final     bool
+}
+
+// lubySends builds, once per run, every outbox a node can send — a
+// proposal and a final announcement per color of {0..delta}, broadcast —
+// so a step allocates nothing: sends[2c] proposes c, sends[2c+1] finalizes
+// it. Nodes return one-element windows of this read-only table, which the
+// engine copies.
+func lubySends(delta int) []local.Outbound {
+	sends := make([]local.Outbound, 2*(delta+1))
+	for c := 0; c <= delta; c++ {
+		sends[2*c] = local.Outbound{Port: local.Broadcast, Msg: lubyMsg{candidate: c}}
+		sends[2*c+1] = local.Outbound{Port: local.Broadcast, Msg: lubyMsg{candidate: c, final: true}}
+	}
+	return sends
 }
 
 func (p *lubyProgram) Init(info local.NodeInfo) {
@@ -52,9 +66,8 @@ func (p *lubyProgram) Step(round int, inbox []local.Inbound) ([]local.Outbound, 
 	for _, in := range inbox {
 		m := in.Msg.(lubyMsg)
 		if m.final {
-			if m.candidate >= 0 && m.candidate < p.palette.Len() && p.palette.Test(m.candidate) {
-				p.palette.Clear(m.candidate)
-				p.remaining--
+			if m.candidate >= 0 && m.candidate <= p.delta {
+				p.take(int32(m.candidate))
 			}
 			if p.cand == m.candidate {
 				conflict = true
@@ -70,16 +83,36 @@ func (p *lubyProgram) Step(round int, inbox []local.Inbound) ([]local.Outbound, 
 	}
 	if p.cand != Uncolored && !conflict {
 		p.color = p.cand
-		return []local.Outbound{{Port: local.Broadcast, Msg: lubyMsg{candidate: p.color, final: true}}}, false
+		return p.send(2*p.color + 1), false
 	}
 	p.cand = Uncolored
 	// Luby wake-up: stay silent this round with probability ½.
 	if p.rng.IntN(2) == 0 {
 		return nil, false
 	}
-	p.cand = p.palette.SelectSet(p.rng.IntN(p.remaining))
-	return []local.Outbound{{Port: local.Broadcast, Msg: lubyMsg{candidate: p.cand}}}, false
+	// Draw the k-th remaining color in ascending order: start at k and step
+	// past every taken color at or below the running candidate.
+	c := p.rng.IntN(p.delta + 1 - len(p.taken))
+	for _, t := range p.taken {
+		if int(t) > c {
+			break
+		}
+		c++
+	}
+	p.cand = c
+	return p.send(2 * c), false
 }
+
+// take removes color c from the palette, keeping taken ascending and free
+// of duplicates (non-adjacent neighbors may finalize the same color).
+func (p *lubyProgram) take(c int32) {
+	i, found := slices.BinarySearch(p.taken, c)
+	if !found {
+		p.taken = slices.Insert(p.taken, i, c)
+	}
+}
+
+func (p *lubyProgram) send(i int) []local.Outbound { return p.sends[i : i+1] }
 
 func (p *lubyProgram) Output() any { return p.color }
 
@@ -97,16 +130,18 @@ func init() {
 			delta := g.MaxDegree()
 			ledger := &local.Ledger{Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace()}
 			seed := rng.Uint64()
+			offsets, _ := g.CSR()
+			taken := make([]int32, offsets[g.N()])
+			sends := lubySends(delta)
+			progs := make([]lubyProgram, g.N())
 			outs, err := local.RunSync(ctx, nw, ledger, "luby", rc.MaxRounds(g), func(v int) local.Program {
-				palette := graph.NewBitset(delta + 1)
-				for i := 0; i <= delta; i++ {
-					palette.Set(i)
-				}
-				return &lubyProgram{
-					palette:   palette,
-					remaining: delta + 1,
-					rng:       rand.New(rand.NewPCG(seed, uint64(nw.ID[v]))),
-				}
+				p := &progs[v]
+				p.taken = taken[offsets[v]:offsets[v]:offsets[v+1]]
+				p.delta = delta
+				p.pcg = *rand.NewPCG(seed, uint64(nw.ID[v]))
+				p.rng = *rand.New(&p.pcg)
+				p.sends = sends
+				return p
 			})
 			if err != nil {
 				return nil, err

@@ -54,7 +54,7 @@ func WithProgress(fn func(PhaseEvent)) Option {
 // RoundTrace records a run's execution profile: per-phase LOCAL round
 // totals (always in exact agreement with Coloring.Phases), and — for
 // phases driven by the message-passing engine — per-round message counts,
-// active-list sizes and per-shard delivery timings. Attach one with
+// active-list sizes and per-worker busy time. Attach one with
 // WithTrace; after the run, Report produces the wire-form TraceReport.
 type RoundTrace = local.RoundTrace
 
