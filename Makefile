@@ -4,10 +4,12 @@ GO ?= go
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
-# primitives its hot path leans on, and the instrumented (Obs) twins of the
+# primitives its hot path leans on, the serve-mixed engine shape
+# (Planar6_n20000) and one fresh-compute serving number (ServeThroughputFresh,
+# past the coalescing cache), and the instrumented (Obs) twins of the
 # delivery and serving benchmarks so the trajectory records observability
 # cost alongside raw cost.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkLubyApollonian|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkRulingCompute|BenchmarkColorBallTheorem11|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkPlanar6_n20000|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkLubyApollonian|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkRulingCompute|BenchmarkColorBallTheorem11|BenchmarkServeThroughput$$|BenchmarkServeThroughputFresh$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
 BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/core ./internal/serve ./internal/cluster
 
 all: ci

@@ -72,6 +72,12 @@ func BenchmarkPlanar6_n250(b *testing.B)  { benchPlanar6AtSize(b, 250) }
 func BenchmarkPlanar6_n1000(b *testing.B) { benchPlanar6AtSize(b, 1000) }
 func BenchmarkPlanar6_n4000(b *testing.B) { benchPlanar6AtSize(b, 4000) }
 
+// BenchmarkPlanar6_n20000 is the engine shape of the serve-mixed workload
+// (planar6 on apollonian:20000): six or seven peel layers shrinking
+// geometrically, so it shows whether the late layers cost what their own
+// vertices cost.
+func BenchmarkPlanar6_n20000(b *testing.B) { benchPlanar6AtSize(b, 20000) }
+
 func BenchmarkTheorem13_3Regular_n500(b *testing.B) {
 	r := rand.New(rand.NewPCG(11, 13))
 	g, err := gen.RandomRegular(500, 3, r)

@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"distcolor/internal/local"
+	"distcolor/internal/ruling"
 	"distcolor/internal/seqcolor"
 )
 
@@ -192,6 +193,7 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		alive[v] = true
 	}
 	aliveCount := n
+	sc := newPeelScratch(n)
 	var layers []layer
 	for aliveCount > 0 {
 		if err := ctx.Err(); err != nil {
@@ -200,7 +202,7 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		if len(layers) >= maxIter {
 			return fmt.Errorf("%w (after %d iterations, %d vertices left)", ErrStalled, len(layers), aliveCount)
 		}
-		st, rich, happy := happySet(g, alive, radius, richTest, witness)
+		st, rich, happy := happySet(g, alive, radius, sc, richTest, witness)
 		if len(happy) == 0 {
 			return fmt.Errorf("%w (iteration %d, %d alive)", ErrStalled, len(layers)+1, aliveCount)
 		}
@@ -215,7 +217,14 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		aliveCount -= len(happy)
 	}
 
-	// ---- Extension phase (Lemma 3.2), reverse order.
+	// ---- Extension phase (Lemma 3.2), reverse order. Of the scratch it
+	// needs only the rich mask (the rest is garbage from here on), and one
+	// ruling workspace serves every layer.
+	richMask := sc.rich
+	forests, err := ruling.NewWorkspace(nw)
+	if err != nil {
+		return fmt.Errorf("core: ruling forest: %w", err)
+	}
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = Uncolored
@@ -230,8 +239,16 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		for _, v := range layers[i].happy {
 			alive[v] = true
 		}
-		ext, err := extend(ctx, nw, ledger, alive, layers[i].rich, layers[i].happy,
-			colors, lists, radius)
+		// What only this layer needs leaves the loop's state before the
+		// call, so it is garbage by the time the layer's root balls
+		// allocate: its happy list and, on the last layer, the workspace.
+		l, ws := layers[i], forests
+		layers[i] = layer{}
+		if i == 0 {
+			forests = nil
+		}
+		ext, err := extend(ctx, nw, ledger, alive, l.rich, l.happy,
+			colors, lists, radius, richMask, ws)
 		if err != nil {
 			return fmt.Errorf("core: extension at layer %d: %w", i+1, err)
 		}

@@ -25,45 +25,50 @@ type extendStats struct {
 // uncolor the forest T; (d+1)-color G[T] to schedule a leaves-to-root greedy
 // recoloring; finally recolor each root's rich ball with the constructive
 // Theorem 1.1 (valid because roots are happy).
+//
+// richMask is an all-false n-sized scratch mask, returned all false; the
+// ruling workspace serves every layer of the run. Apart from them, a layer
+// costs what its rich set, forest and root balls cost, whatever n is.
 func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive []bool,
-	rich, happy []int, colors []int, lists [][]int, radius int) (extendStats, error) {
+	rich, happy []int, colors []int, lists [][]int, radius int,
+	richMask []bool, forests *ruling.Workspace) (extendStats, error) {
 
 	g := nw.G
-	n := g.N()
 	var st extendStats
 
-	richMask := make([]bool, n)
 	for _, v := range rich {
 		richMask[v] = true
 	}
+	defer func() {
+		for _, v := range rich {
+			richMask[v] = false
+		}
+	}()
 
 	// --- Ruling forest: roots pairwise > 2·radius apart so that their rich
 	// balls are disjoint with no edges in between.
 	alpha := 2*radius + 2
-	forest, err := ruling.Compute(ctx, nw, ledger, "extend/ruling", richMask, happy, alpha)
+	forest, err := forests.Compute(ctx, ledger, "extend/ruling", richMask, happy, alpha)
 	if err != nil {
 		return st, fmt.Errorf("ruling forest: %w", err)
 	}
-	tree := forest.TreeVertices()
-	st.roots = len(forest.Roots)
+	tree, depths, maxDepth, roots := forest.Tree, forest.Depth, forest.MaxDepth, forest.Roots
+	st.roots = len(roots)
 	st.treeSize = len(tree)
-	st.maxDepth = forest.MaxDepth
+	st.maxDepth = maxDepth
 
 	// --- Uncolor T (the colored part of T is exactly T ∩ S).
-	treeMask := make([]bool, n)
 	for _, v := range tree {
-		treeMask[v] = true
 		colors[v] = Uncolored
 	}
 
 	// --- Schedule: proper coloring of H = G[T] with ≤ Δ(H)+1 classes
-	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1).
-	classes := reduce.DegPlusOne(nw, ledger, "extend/schedule", treeMask)
+	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1),
+	// indexed like tree.
+	classes := reduce.DegPlusOneList(nw, ledger, "extend/schedule", tree)
 	maxClass := 0
-	for _, v := range tree {
-		if classes[v] > maxClass {
-			maxClass = classes[v]
-		}
+	for _, c := range classes {
+		maxClass = max(maxClass, c)
 	}
 
 	// --- Leaves-to-root greedy: for each depth from deepest to 1, for each
@@ -74,11 +79,11 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 	// vertices in exactly the order the nested rescan did — instead of
 	// rescanning all of T once per (depth, class) pair. A counting pass
 	// first sizes each bucket as its own slice of one backing array.
-	buckets := make([][]int, (forest.MaxDepth+1)*(maxClass+1))
+	buckets := make([][]int, (maxDepth+1)*(maxClass+1))
 	size := make([]int, len(buckets))
-	for _, v := range tree {
-		if d := forest.Depth[v]; d >= 1 {
-			size[d*(maxClass+1)+classes[v]]++
+	for i, d := range depths {
+		if d >= 1 {
+			size[d*(maxClass+1)+classes[i]]++
 		}
 	}
 	backing := make([]int, len(tree))
@@ -87,14 +92,14 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 		buckets[slot] = backing[off : off : off+k]
 		off += k
 	}
-	for _, v := range tree {
-		if d := forest.Depth[v]; d >= 1 {
-			slot := d*(maxClass+1) + classes[v]
+	for i, v := range tree {
+		if d := depths[i]; d >= 1 {
+			slot := d*(maxClass+1) + classes[i]
 			buckets[slot] = append(buckets[slot], v)
 		}
 	}
 	pb := graph.AcquireBitset(0)
-	for depth := forest.MaxDepth; depth >= 1; depth-- {
+	for depth := maxDepth; depth >= 1; depth-- {
 		for class := 0; class <= maxClass; class++ {
 			worked := false
 			for _, v := range buckets[depth*(maxClass+1)+class] {
@@ -119,9 +124,11 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 	// --- Root balls: uncolor each root's rich ball entirely and recolor it
 	// with the constructive Theorem 1.1. Balls of distinct roots are
 	// disjoint and non-adjacent (α = 2·radius+2), so the components of the
-	// uncolored set are exactly the balls.
-	if len(forest.Roots) > 0 {
-		for _, r := range forest.Roots {
+	// uncolored set are exactly the balls. Only roots is read from here on,
+	// so the forest's and the schedule's arrays are garbage while the balls
+	// allocate.
+	if len(roots) > 0 {
+		for _, r := range roots {
 			ball := g.Ball(r, radius, richMask)
 			for _, u := range ball {
 				colors[u] = Uncolored

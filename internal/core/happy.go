@@ -14,14 +14,18 @@ import (
 // multi-source BFS; components whose every ball saturates (r ≥ 2·ecc bound)
 // are classified once; only the remaining vertices of non-Gallai components
 // get individual ball inspections.
-func happySet(g *graph.Graph, alive []bool, radius int,
+//
+// The n-sized masks come from sc and are all false again on return: each
+// is cleared through the vertex lists that set it.
+func happySet(g *graph.Graph, alive []bool, radius int, sc *peelScratch,
 	richTest func(degAlive int, v int) bool,
 	witness func(degAlive int, v int) bool) (IterationStats, []int, []int) {
 
 	n := g.N()
 	var st IterationStats
-	richMask := make([]bool, n)
-	degAlive := g.DegreesInMask(alive, nil)
+	richMask, happyMask, scratch := sc.rich, sc.happy, sc.comp
+	sc.deg = g.DegreesInMask(alive, sc.deg)
+	degAlive := sc.deg
 	for v := 0; v < n; v++ {
 		if !alive[v] {
 			continue
@@ -41,7 +45,11 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 		}
 	}
 
-	happyMask := make([]bool, n)
+	defer func() {
+		for _, v := range rich {
+			richMask[v], happyMask[v] = false, false
+		}
+	}()
 	// (a) witness path: multi-source BFS inside G[rich] from the witnesses.
 	var sources []int
 	for _, v := range rich {
@@ -62,8 +70,6 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 	}
 
 	// (b) non-Gallai balls, per component of G[rich].
-	scratch := make([]bool, n)
-	var ballMask []bool // made on first use by the per-vertex fallback
 	for _, comp := range g.Components(richMask) {
 		allHappy := true
 		for _, v := range comp {
@@ -104,9 +110,10 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 			continue
 		}
 		// Exact per-vertex fallback.
-		if ballMask == nil {
-			ballMask = make([]bool, n)
+		if sc.ball == nil {
+			sc.ball = make([]bool, n)
 		}
+		ballMask := sc.ball
 		for _, v := range comp {
 			if happyMask[v] {
 				continue
@@ -136,4 +143,19 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 	}
 	st.Happy = len(happy)
 	return st, rich, happy
+}
+
+// peelScratch holds the n-sized per-vertex masks that every peel iteration
+// and extension layer of one run shares, so a layer costs what its own
+// vertices cost instead of an n-sized allocation per mask. Between uses
+// every mask is all false: each user clears what it set through its own
+// vertex lists.
+type peelScratch struct {
+	rich, happy, comp []bool
+	ball              []bool // made on first use by happySet's per-vertex fallback
+	deg               []int  // alive degrees, overwritten by every iteration
+}
+
+func newPeelScratch(n int) *peelScratch {
+	return &peelScratch{rich: make([]bool, n), happy: make([]bool, n), comp: make([]bool, n)}
 }

@@ -39,7 +39,7 @@ func TestHappyClassificationMatchesMessagePassing(t *testing.T) {
 			}
 			richTest := func(degAlive int, v int) bool { return degAlive <= tc.d }
 			witness := func(degAlive int, v int) bool { return degAlive <= tc.d-1 }
-			_, rich, happy := happySet(tc.g, alive, radius, richTest, witness)
+			_, rich, happy := happySet(tc.g, alive, radius, newPeelScratch(tc.g.N()), richTest, witness)
 			wantRich := toSet(rich)
 			wantHappy := toSet(happy)
 

@@ -48,7 +48,7 @@ func SadAnalysis(g *graph.Graph, d, radius int) Fig4Stats {
 	}
 	witness := func(degAlive int, v int) bool { return degAlive <= d-1 }
 	richTest := func(degAlive int, v int) bool { return degAlive <= d }
-	st, rich, happy := happySet(g, alive, radius, richTest, witness)
+	st, rich, happy := happySet(g, alive, radius, newPeelScratch(n), richTest, witness)
 
 	stats := Fig4Stats{N: n, D: d, Rich: st.Rich, Happy: st.Happy}
 	sadMask := make([]bool, n)

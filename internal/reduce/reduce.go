@@ -11,12 +11,23 @@
 // the ledger (see internal/local for the simulation argument); the
 // randomized algorithm is additionally implemented as genuine message-
 // passing node programs.
+//
+// The (Δ+1) schedule (LinialColorList, DegPlusOneList) works on a vertex
+// list: it builds the induced subgraph of the listed vertices and keeps
+// every per-vertex array — colors, 16-bit polynomial digits, class order —
+// indexed by position in the list, so scheduling a small layer of a large
+// graph costs what the layer costs. Remainders mod the Linial prime use a
+// precomputed multiplier instead of a division, and the classes above Δ
+// are counting-sorted. LinialColor and DegPlusOne are mask front ends
+// over the same code.
 package reduce
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -91,86 +102,109 @@ func evalPoly(coeffs []int, x, q int) int {
 	return val
 }
 
-// LinialColor computes an O(Δ²·log²Δ)-ish coloring of the masked graph in
+// fastmod computes a mod q without a division (Lemire, Kaser and Kurz,
+// "Faster remainder by direct computation", 2019): with m = ⌈2⁶⁴/q⌉ the
+// remainder is the high word of (m·a mod 2⁶⁴)·q, exact for all 32-bit a
+// and q. The Linial loop stays inside that range: it only iterates while
+// q² < k ≤ n < 2³¹, so digits fit 16 bits and val·x + digit < 2³².
+type fastmod struct {
+	m uint64
+	q uint32
+}
+
+func newFastmod(q int) fastmod { return fastmod{m: ^uint64(0)/uint64(q) + 1, q: uint32(q)} }
+
+func (f fastmod) mod(a uint32) uint32 {
+	hi, _ := bits.Mul64(f.m*uint64(a), uint64(f.q))
+	return uint32(hi)
+}
+
+// eval evaluates the polynomial with little-endian coefficients (each
+// below q) at x over F_q (Horner).
+func (f fastmod) eval(coeffs []uint16, x uint32) uint32 {
+	if x == 0 {
+		return uint32(coeffs[0]) // most vertices settle on x = 0
+	}
+	val := uint32(0)
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		val = f.mod(val*x + uint32(coeffs[i]))
+	}
+	return val
+}
+
+// induced returns G[verts] for the schedule. Its vertex i is verts[i], so
+// every per-vertex array below is indexed by position in verts.
+func induced(g *graph.Graph, verts []int) *graph.Graph {
+	sub, _, err := g.Induced(verts)
+	if err != nil {
+		panic("reduce: schedule vertices must be distinct and in range: " + err.Error())
+	}
+	return sub
+}
+
+// LinialColorList computes an O(Δ²·log²Δ)-ish coloring of G[verts] in
 // O(log* n) LOCAL rounds: starting from the IDs (palette n), each iteration
 // maps a palette of size k to q² where q is the Linial prime for (k, Δ).
-// It stops when the palette stops shrinking and returns the coloring along
-// with the final palette size. Colors lie in [0, palette).
-func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []bool) ([]int, int) {
-	g := nw.G
-	n := g.N()
-	colors := make([]int, n)
-	for v := 0; v < n; v++ {
-		colors[v] = nw.ID[v] - 1 // palette [0, n)
-	}
-	k := n
-	d := 0
-	for v := 0; v < n; v++ {
-		if mask != nil && !mask[v] {
-			continue
-		}
-		if dv := g.DegreeInMask(v, maskOrAll(mask, n)); dv > d {
-			d = dv
-		}
-	}
+// It stops when the palette stops shrinking and returns the coloring,
+// indexed like verts, along with the final palette size. Colors lie in
+// [0, palette). verts must be distinct; the work is O(|verts| + the edges
+// among them) per iteration, whatever n is.
+func LinialColorList(nw *local.Network, ledger *local.Ledger, phase string, verts []int) ([]int, int) {
+	return linial(nw, ledger, phase, verts, induced(nw.G, verts))
+}
+
+func linial(nw *local.Network, ledger *local.Ledger, phase string, verts []int, sub *graph.Graph) ([]int, int) {
+	d := sub.MaxDegree()
+	colors := make([]int, len(verts))
 	if d == 0 {
 		// no edges: one color suffices, zero rounds
-		for v := 0; v < n; v++ {
-			colors[v] = 0
-		}
 		return colors, 1
 	}
+	for i, v := range verts {
+		colors[i] = nw.ID[v] - 1 // palette [0, n)
+	}
+	k := nw.G.N()
+	var digits []uint16
+	next := make([]int, len(verts))
 	for {
 		q, t := linialPrime(k, d)
 		if q*q >= k {
 			return colors, k
 		}
-		// Precompute every masked vertex's polynomial coefficients (its
-		// base-q digits) once per iteration into one flat array, so the
-		// O(deg·q) candidate loop below does no per-neighbor allocation.
-		digits := make([]int, n*t)
-		for v := 0; v < n; v++ {
-			if mask != nil && !mask[v] {
-				continue
-			}
-			c := colors[v]
-			for i := 0; i < t; i++ {
-				digits[v*t+i] = c % q
+		fm := newFastmod(q)
+		// Every vertex's polynomial coefficients (its base-q digits), t
+		// per vertex in one flat array, so the O(deg·q) candidate loop
+		// below does no per-neighbor allocation.
+		digits = slices.Grow(digits[:0], len(verts)*t)[:len(verts)*t]
+		for i, c := range colors {
+			for j := 0; j < t; j++ {
+				digits[i*t+j] = uint16(c % q)
 				c /= q
 			}
 		}
-		next := make([]int, n)
-		copy(next, colors)
-		for v := 0; v < n; v++ {
-			if mask != nil && !mask[v] {
-				continue
-			}
-			pv := digits[v*t : (v+1)*t]
+		for i := range verts {
+			pv := digits[i*t : (i+1)*t]
 			x := -1
-			for cand := 0; cand < q; cand++ {
-				ev := evalPoly(pv, cand, q)
+			for cand := uint32(0); cand < uint32(q); cand++ {
+				ev := fm.eval(pv, cand)
 				ok := true
-				for _, w32 := range g.Neighbors(v) {
-					w := int(w32)
-					if mask != nil && !mask[w] {
-						continue
-					}
-					if colors[w] != colors[v] && evalPoly(digits[w*t:(w+1)*t], cand, q) == ev {
+				for _, j := range sub.Neighbors(i) {
+					if colors[j] != colors[i] && fm.eval(digits[int(j)*t:(int(j)+1)*t], cand) == ev {
 						ok = false
 						break
 					}
 				}
 				if ok {
-					x = cand
+					x = int(cand)
 					break
 				}
 			}
 			if x < 0 {
 				panic("reduce: Linial selection failed — prime too small (internal bug)")
 			}
-			next[v] = x*q + evalPoly(pv, x, q)
+			next[i] = x*q + int(fm.eval(pv, uint32(x)))
 		}
-		colors = next
+		colors, next = next, colors
 		k = q * q
 		if ledger != nil {
 			ledger.Charge(phase, 1)
@@ -178,82 +212,113 @@ func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []b
 	}
 }
 
-func maskOrAll(mask []bool, n int) []bool {
-	if mask != nil {
-		return mask
+// reduceToMaxDegPlusOne takes a proper coloring of sub with palette
+// [0, k) and reduces it in place to the palette [0, Δ(sub)] by recoloring
+// one color class per round (classes are independent sets, so all members
+// recolor simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex
+// ends with a color in [0, deg(v)] ⊆ [0, Δ].
+func reduceToMaxDegPlusOne(sub *graph.Graph, ledger *local.Ledger, phase string, colors []int, k int) {
+	d := sub.MaxDegree()
+	if k-1 < d+1 {
+		return
 	}
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
-	}
-	return all
-}
-
-// ReduceToMaxDegPlusOne takes a proper coloring with palette [0, k) of the
-// masked graph and reduces it to the palette [0, Δ+1] by recoloring one
-// color class per round (classes are independent sets, so all members
-// recolor simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex ends
-// with a color in [0, deg(v)] ⊆ [0, Δ].
-func ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string,
-	mask []bool, colors []int, k int) []int {
-	g := nw.G
-	n := g.N()
-	d := 0
-	em := maskOrAll(mask, n)
-	for v := 0; v < n; v++ {
-		if em[v] {
-			if dv := g.DegreeInMask(v, em); dv > d {
-				d = dv
-			}
-		}
-	}
-	out := make([]int, n)
-	copy(out, colors)
-	// Bucketize the classes that will recolor: a vertex only changes color
-	// when its own class is processed (to a color ≤ d < d+1), so bucketing
-	// by the incoming colors visits exactly the vertices the per-class full
-	// scans did, in the same ascending order.
-	var buckets [][]int
-	if k-1 >= d+1 {
-		buckets = make([][]int, k)
-		for v := 0; v < n; v++ {
-			if em[v] && out[v] >= d+1 && out[v] < k {
-				buckets[out[v]] = append(buckets[out[v]], v)
-			}
-		}
-	}
+	// A vertex only changes color when its own class is processed (to a
+	// color ≤ d < d+1), so ordering the recoloring vertices by incoming
+	// class, highest first, visits each class exactly when its round
+	// comes.
+	order := classOrder(colors, d+1, k)
 	used := graph.AcquireBitset(d + 1)
 	defer graph.ReleaseBitset(used)
-	rounds := 0
-	for c := k - 1; c >= d+1; c-- {
-		for _, v := range buckets[c] {
-			used.Reset(d + 1)
-			for _, w32 := range g.Neighbors(v) {
-				w := int(w32)
-				if em[w] && out[w] >= 0 && out[w] <= d {
-					used.Set(out[w])
-				}
+	for _, i := range order {
+		used.Reset(d + 1)
+		for _, j := range sub.Neighbors(int(i)) {
+			if c := colors[j]; c <= d {
+				used.Set(c)
 			}
-			picked := used.FirstZero()
-			if picked > d {
-				panic("reduce: no free color ≤ Δ (internal bug)")
-			}
-			out[v] = picked
 		}
-		rounds++
+		picked := used.FirstZero()
+		if picked > d {
+			panic("reduce: no free color ≤ Δ (internal bug)")
+		}
+		colors[i] = picked
 	}
-	if ledger != nil && rounds > 0 {
-		ledger.Charge(phase, rounds)
+	if ledger != nil {
+		ledger.Charge(phase, k-1-d)
 	}
-	return out
 }
 
-// DegPlusOne produces a proper coloring of the masked graph with colors in
-// [0, Δ_mask] (at most Δ+1 colors) in O(log* n + Δ² log Δ) LOCAL rounds:
-// Linial reduction followed by class-by-class reduction.
+// classOrder returns the positions i with lo ≤ colors[i] < k, by color
+// descending and, within a color, ascending position: a counting sort in
+// O(k − lo + len(colors)).
+func classOrder(colors []int, lo, k int) []int32 {
+	span := k - lo
+	start := make([]int32, span+1) // start[k-1-c]: class c's next slot
+	for _, c := range colors {
+		if c >= lo {
+			start[k-1-c+1]++
+		}
+	}
+	for i := 1; i <= span; i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]int32, start[span])
+	for i, c := range colors {
+		if c >= lo {
+			slot := &start[k-1-c]
+			order[*slot] = int32(i)
+			*slot++
+		}
+	}
+	return order
+}
+
+// DegPlusOneList produces a proper coloring of G[verts], indexed like
+// verts, with colors in [0, Δ(G[verts])] (at most Δ+1 colors) in
+// O(log* n + Δ² log Δ) LOCAL rounds: Linial reduction followed by
+// class-by-class reduction. Its cost is that of verts and the edges among
+// them, whatever n is.
+func DegPlusOneList(nw *local.Network, ledger *local.Ledger, phase string, verts []int) []int {
+	sub := induced(nw.G, verts)
+	colors, k := linial(nw, ledger, phase+"/linial", verts, sub)
+	reduceToMaxDegPlusOne(sub, ledger, phase+"/reduce", colors, k)
+	return colors
+}
+
+// LinialColor is LinialColorList over the masked vertices (nil = all),
+// with the colors spread to an n-sized array; unmasked vertices read
+// Uncolored.
+func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []bool) ([]int, int) {
+	verts := maskVertices(mask, nw.G.N())
+	colors, k := LinialColorList(nw, ledger, phase, verts)
+	return spread(colors, verts, nw.G.N()), k
+}
+
+// DegPlusOne is DegPlusOneList over the masked vertices (nil = all), with
+// the colors spread to an n-sized array; unmasked vertices read Uncolored.
 func DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, mask []bool) []int {
-	colors, k := LinialColor(nw, ledger, phase+"/linial", mask)
-	return ReduceToMaxDegPlusOne(nw, ledger, phase+"/reduce", mask, colors, k)
+	verts := maskVertices(mask, nw.G.N())
+	return spread(DegPlusOneList(nw, ledger, phase, verts), verts, nw.G.N())
+}
+
+func maskVertices(mask []bool, n int) []int {
+	verts := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if mask == nil || mask[v] {
+			verts = append(verts, v)
+		}
+	}
+	return verts
+}
+
+func spread(colors, verts []int, n int) []int {
+	out := make([]int, n)
+	for v := range out {
+		out[v] = Uncolored
+	}
+	for i, v := range verts {
+		out[v] = colors[i]
+	}
+	return out
 }
 
 // VerifyMaskColoring checks properness over the masked graph.

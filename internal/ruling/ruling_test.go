@@ -118,10 +118,11 @@ func TestRulingForestRandomProperty(t *testing.T) {
 		}
 		// trees vertex-disjoint is implied by single Parent pointer; check
 		// root-per-tree consistency: walking parents terminates at a root.
-		for _, v := range f.TreeVertices() {
+		parent := expand(f, n).Parent
+		for _, v := range f.Tree {
 			x, steps := v, 0
-			for f.Parent[x] != -1 {
-				x = f.Parent[x]
+			for parent[x] != -1 {
+				x = parent[x]
 				steps++
 				if steps > n {
 					t.Fatalf("trial %d: parent cycle at %d", trial, v)
@@ -150,7 +151,7 @@ func TestRulingForestSingleton(t *testing.T) {
 	if len(f.Roots) != 1 || f.Roots[0] != 3 {
 		t.Errorf("roots=%v, want [3]", f.Roots)
 	}
-	if len(f.TreeVertices()) != 1 {
+	if len(f.Tree) != 1 {
 		t.Errorf("singleton tree should have exactly the root")
 	}
 }
@@ -162,7 +163,7 @@ func TestRulingForestEmptyU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Roots) != 0 || len(f.TreeVertices()) != 0 {
+	if len(f.Roots) != 0 || len(f.Tree) != 0 {
 		t.Error("empty U should give empty forest")
 	}
 }

@@ -6,12 +6,6 @@ import (
 	"distcolor/internal/obs"
 )
 
-// latencyWindow was the sliding-window size of the retired sort-on-snapshot
-// latency estimator. It survives as the reference scale for the percentile
-// agreement tests: the histogram path must agree with a nearest-rank sort
-// over a window of exactly this size to within one log₂ bucket.
-const latencyWindow = 2048
-
 // Stats aggregates the serving tier's job counters and latency
 // distribution on obs instruments, so /v1/stats and /metrics read the very
 // same state. Counting is a single atomic add; Snapshot derives p50/p99
@@ -111,16 +105,4 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.LatencySampleTrace = e.TraceID
 	}
 	return snap
-}
-
-// percentile returns the p-th percentile (nearest-rank) of sorted samples.
-// It is the exact-sort reference the histogram quantiles are tested
-// against (agreement within one bucket on windows up to latencyWindow); no
-// serving path sorts anymore.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	i := (len(sorted)*p + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return sorted[i]
 }
